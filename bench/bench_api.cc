@@ -3,11 +3,11 @@
 // Panel 1 — prepared vs re-parse. A small point query (`SELECT a FROM
 // points WHERE a >= ? AND a <= ?`, which the binder folds to `a = k` and
 // the sorted index serves with a binary search) is executed N times two
-// ways:
+// ways, both on a session without a scheduler (the calling thread runs
+// each query):
 //
-//   reparse    sql::Engine::Execute on a freshly formatted SQL string per
-//              execution — parse, bind, snapshot, advise every time (the
-//              pre-api cost every statement of bench_throughput paid)
+//   reparse    api::Connection::Query on a freshly formatted SQL string per
+//              execution — parse, bind, snapshot, advise every time
 //   prepared   api::PreparedStatement::Execute({key}) — parsed/bound once;
 //              per execution only the snapshot is re-captured and the
 //              advisor re-runs on cached column statistics
@@ -16,9 +16,11 @@
 // (verified; mismatch exits non-zero). Reported: QPS each and the speedup.
 //
 // Panel 2 — RowCursor vs FetchAll. One permissive selection is drained
-// twice: materialized (QueryResult holds the whole result) and streamed
-// (bounded ChunkQueue, backpressure). Reported: peak resident result bytes
-// each — the cursor's peak is the queue bound, not the result size.
+// twice on a session over a one-worker pool: materialized (QueryResult
+// holds the whole result) and streamed (bounded ChunkQueue, backpressure —
+// the worker produces while this thread consumes). Reported: peak resident
+// result bytes each — the cursor's peak is the queue bound, not the result
+// size.
 //
 // Machine-readable output: BENCH_api.json.
 //
@@ -29,7 +31,7 @@
 
 #include "api/connection.h"
 #include "bench_common.h"
-#include "sql/engine.h"
+#include "sched/scheduler.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 
@@ -85,11 +87,13 @@ int main(int argc, char** argv) {
         db->RegisterTable("scans", {{"a", "scans.a"}, {"b", "scans.b"}}));
   }
 
-  sql::Engine engine(db.get());
   api::Connection conn(db.get());
+  sched::Scheduler scheduler({1});
+  api::Connection pooled(db.get(), &scheduler);
+  pooled.ShareCostCache(conn);
   {  // calibrate the cost model + warm the buffer pool outside the timing
-    auto warm_engine = engine.Execute("SELECT a FROM points WHERE a = 0");
-    CSTORE_CHECK(warm_engine.ok()) << warm_engine.status().ToString();
+    auto warm_point = conn.Query("SELECT a FROM points WHERE a = 0");
+    CSTORE_CHECK(warm_point.ok()) << warm_point.status().ToString();
     auto warm_conn = conn.Query("SELECT a, b FROM points WHERE b < 0");
     CSTORE_CHECK(warm_conn.ok()) << warm_conn.status().ToString();
   }
@@ -119,7 +123,7 @@ int main(int argc, char** argv) {
       std::string sql = "SELECT a FROM points WHERE a >= " +
                         std::to_string(keys[i]) +
                         " AND a <= " + std::to_string(keys[i]);
-      auto r = engine.Execute(sql);
+      auto r = conn.Query(sql);
       CSTORE_CHECK(r.ok()) << r.status().ToString();
       rows += r->stats.output_tuples;
       checksum += r->stats.checksum;
@@ -166,14 +170,14 @@ int main(int argc, char** argv) {
   double cursor_best = 1e100;
   for (int run = 0; run < opts.runs; ++run) {
     Stopwatch w;
-    auto r = conn.Query(scan_sql);
+    auto r = pooled.Query(scan_sql);
     CSTORE_CHECK(r.ok()) << r.status().ToString();
     fetchall_best = std::min(fetchall_best, w.ElapsedMillis());
     fetchall_bytes = ChunkBytes(r->tuples);
     fetchall_rows = r->tuples.num_tuples();
 
     w.Restart();
-    auto cursor = conn.Stream(scan_sql);
+    auto cursor = pooled.Stream(scan_sql);
     CSTORE_CHECK(cursor.ok()) << cursor.status().ToString();
     uint64_t rows = 0;
     exec::TupleChunk chunk;

@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/connection.h"
 #include "db/database.h"
 #include "tpch/loader.h"
 #include "util/logging.h"
@@ -154,50 +155,43 @@ inline double ExactSelectivity(const std::vector<Value>& values, Value x) {
   return static_cast<double>(n) / values.size();
 }
 
-/// Runs a selection query `runs` times cold (caches dropped), returning the
-/// minimum total runtime in milliseconds.
-inline double TimeSelection(db::Database* db, const plan::SelectionQuery& q,
-                            plan::Strategy s, int runs,
-                            const plan::PlanConfig& config = {},
-                            plan::RunStats* last_stats = nullptr) {
+/// Runs `tmpl` `runs` times cold (caches dropped) on the calling thread,
+/// returning the minimum total runtime in milliseconds.
+inline double TimeTemplate(db::Database* db, const plan::PlanTemplate& tmpl,
+                           int runs, plan::RunStats* last_stats = nullptr) {
+  api::Connection conn(db);
   double best = 1e100;
   for (int r = 0; r < runs; ++r) {
     db->DropCaches();
-    auto result = db->RunSelection(q, s, config);
+    auto result = conn.Query(tmpl);
     CSTORE_CHECK(result.ok()) << result.status().ToString();
     best = std::min(best, result->stats.TotalMillis());
     if (last_stats) *last_stats = result->stats;
   }
   return best;
+}
+
+inline double TimeSelection(db::Database* db, const plan::SelectionQuery& q,
+                            plan::Strategy s, int runs,
+                            const plan::PlanConfig& config = {},
+                            plan::RunStats* last_stats = nullptr) {
+  return TimeTemplate(db, plan::PlanTemplate::Selection(q, s, config), runs,
+                      last_stats);
 }
 
 inline double TimeAgg(db::Database* db, const plan::AggQuery& q,
                       plan::Strategy s, int runs,
                       const plan::PlanConfig& config = {},
                       plan::RunStats* last_stats = nullptr) {
-  double best = 1e100;
-  for (int r = 0; r < runs; ++r) {
-    db->DropCaches();
-    auto result = db->RunAgg(q, s, config);
-    CSTORE_CHECK(result.ok()) << result.status().ToString();
-    best = std::min(best, result->stats.TotalMillis());
-    if (last_stats) *last_stats = result->stats;
-  }
-  return best;
+  return TimeTemplate(db, plan::PlanTemplate::Agg(q, s, config), runs,
+                      last_stats);
 }
 
 inline double TimeJoin(db::Database* db, const plan::JoinQuery& q,
                        exec::JoinRightMode mode, int runs,
                        plan::RunStats* last_stats = nullptr) {
-  double best = 1e100;
-  for (int r = 0; r < runs; ++r) {
-    db->DropCaches();
-    auto result = db->RunJoin(q, mode);
-    CSTORE_CHECK(result.ok()) << result.status().ToString();
-    best = std::min(best, result->stats.TotalMillis());
-    if (last_stats) *last_stats = result->stats;
-  }
-  return best;
+  return TimeTemplate(db, plan::PlanTemplate::Join(q, mode), runs,
+                      last_stats);
 }
 
 /// Simple aligned table printer.

@@ -106,12 +106,13 @@ int main(int argc, char** argv) {
                                         "LM-pipelined"};
     TablePrinter table(headers);
     for (int workers : opts.worker_sweep) {
+      sched::Scheduler scheduler({workers});
+      api::Connection conn(db.get(), &scheduler);
       plan::PlanConfig config;
-      config.num_workers = workers;
       // One chunk window per morsel: maximizes the number of morsels so
-      // requested workers get work (still clamped to one worker when the
-      // table has fewer rows than a 64K-position window — use sf >= 0.1
-      // for a genuine multi-threaded sweep).
+      // the pool's workers get work (a table with fewer rows than a
+      // 64K-position window is one morsel — use sf >= 0.1 for a genuine
+      // multi-threaded sweep).
       config.morsel_positions = kChunkPositions;
       std::vector<std::string> row = {std::to_string(workers)};
       for (plan::Strategy s :
@@ -120,7 +121,8 @@ int main(int argc, char** argv) {
         double best_wall = 1e100;
         for (int r = 0; r < opts.runs; ++r) {
           db->DropCaches();
-          auto result = db->RunSelection(q, s, config);
+          auto result =
+              conn.Query(plan::PlanTemplate::Selection(q, s, config));
           CSTORE_CHECK(result.ok()) << result.status().ToString();
           best_wall = std::min(best_wall, result->stats.wall_micros / 1000.0);
         }

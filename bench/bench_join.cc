@@ -128,18 +128,18 @@ int main(int argc, char** argv) {
   // partitions the probe (auto-sizing would also work; fixing it keeps the
   // sweep comparable across scale factors).
   const int kBatch = 8;
+  // Ground truth runs on the calling thread; each sweep point runs on a
+  // pool of that many workers.
   api::Connection conn(db.get());
 
-  // Serial ground truth per mode (also warms the buffer pool).
+  // Single-worker ground truth per mode (also warms the buffer pool).
   struct Truth {
     uint64_t checksum = 0;
     uint64_t tuples = 0;
   };
   std::vector<Truth> truth;
   for (exec::JoinRightMode mode : kModes) {
-    plan::PlanConfig config;
-    config.num_workers = 1;
-    auto r = conn.Query(plan::PlanTemplate::Join(q, mode, config));
+    auto r = conn.Query(plan::PlanTemplate::Join(q, mode));
     CSTORE_CHECK(r.ok()) << r.status().ToString();
     truth.push_back({r->stats.checksum, r->stats.output_tuples});
   }
@@ -167,8 +167,9 @@ int main(int argc, char** argv) {
     };
     std::vector<Point> points;
     for (int workers : opts.worker_sweep) {
+      sched::Scheduler scheduler({workers});
+      api::Connection pooled(db.get(), &scheduler);
       plan::PlanConfig config;
-      config.num_workers = workers;
       config.morsel_positions = kChunkPositions;
       plan::PlanTemplate tmpl = plan::PlanTemplate::Join(q, mode, config);
 
@@ -176,7 +177,7 @@ int main(int argc, char** argv) {
       for (int run = 0; run < opts.runs; ++run) {
         Stopwatch wall;
         for (int i = 0; i < kBatch; ++i) {
-          auto r = conn.Query(tmpl);
+          auto r = pooled.Query(tmpl);
           CSTORE_CHECK(r.ok()) << r.status().ToString();
           if (r->stats.checksum != truth[m].checksum ||
               r->stats.output_tuples != truth[m].tuples) {
@@ -238,7 +239,6 @@ int main(int argc, char** argv) {
     uint64_t shape_tuples = 0;
     {
       plan::PlanConfig config;
-      config.num_workers = 1;
       config.radix_bits = 0;
       auto r = conn.Query(plan::PlanTemplate::Join(
           q2, exec::JoinRightMode::kMaterialized, config));
@@ -257,8 +257,9 @@ int main(int argc, char** argv) {
     std::vector<ShapePoint> points;
     for (int radix : {0, -1}) {
       for (int workers : opts.worker_sweep) {
+        sched::Scheduler scheduler({workers});
+        api::Connection pooled(db.get(), &scheduler);
         plan::PlanConfig config;
-        config.num_workers = workers;
         config.morsel_positions = kChunkPositions;
         config.radix_bits = radix;
         plan::PlanTemplate tmpl = plan::PlanTemplate::Join(
@@ -268,7 +269,7 @@ int main(int argc, char** argv) {
         for (int run = 0; run < opts.runs; ++run) {
           Stopwatch wall;
           for (int i = 0; i < kShapeBatch; ++i) {
-            auto r = conn.Query(tmpl);
+            auto r = pooled.Query(tmpl);
             CSTORE_CHECK(r.ok()) << r.status().ToString();
             if (r->stats.checksum != shape_checksum ||
                 r->stats.output_tuples != shape_tuples) {

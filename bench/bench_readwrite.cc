@@ -226,9 +226,7 @@ int SelfVerify(db::Database* db, const std::vector<Spec>& specs,
     // serial and pooled runs below see identical state.
     auto tmpl = BindTemplate(db, spec, shipdate_mid, custkey_mid);
     CSTORE_CHECK(tmpl.ok()) << tmpl.status().ToString();
-    plan::PlanTemplate serial_tmpl = *tmpl;
-    serial_tmpl.config.num_workers = 1;
-    auto serial_r = serial.Query(serial_tmpl);
+    auto serial_r = serial.Query(*tmpl);
     CSTORE_CHECK(serial_r.ok()) << serial_r.status().ToString();
     auto pooled_r = pooled.Submit(*tmpl).Wait();
     CSTORE_CHECK(pooled_r.ok()) << pooled_r.status().ToString();

@@ -80,15 +80,14 @@ std::vector<QuerySpec> BuildSpecs(const tpch::LineitemColumns& li) {
   return specs;
 }
 
-/// Serial ground truth (doubles as pool warm-up so the timed batches
-/// measure lock traffic on the hit path, not first-touch I/O).
+/// Single-worker ground truth on the calling thread (doubles as pool
+/// warm-up so the timed batches measure lock traffic on the hit path, not
+/// first-touch I/O).
 void FillGroundTruth(db::Database* db, std::vector<QuerySpec>* specs,
                      bool verify_existing, int* mismatches) {
   api::Connection conn(db);
   for (QuerySpec& spec : *specs) {
-    plan::PlanTemplate tmpl = spec.tmpl;
-    tmpl.config.num_workers = 1;
-    auto r = conn.Query(tmpl);
+    auto r = conn.Query(spec.tmpl);
     CSTORE_CHECK(r.ok()) << spec.name << ": " << r.status().ToString();
     if (verify_existing) {
       // Same data under a different pool layout must read back bit-equal.

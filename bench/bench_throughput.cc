@@ -5,15 +5,15 @@
 // per-query strategy choice actually matters — and runs it two ways at each
 // (worker count, concurrency) point:
 //
-//   back-to-back  each query through plan::ExecuteParallel with W workers,
-//                 one after another (PR 1's best effort for a batch)
-//   shared-pool   all K queries submitted at once to one sched::Scheduler
-//                 with W workers, interleaving at morsel granularity
+//   back-to-back  each query on a sched::Scheduler with W workers, waited
+//                 for before the next is submitted
+//   shared-pool   all K queries submitted at once to the same W-worker
+//                 sched::Scheduler, interleaving at morsel granularity
 //
 // Reported per point: batch wall time, QPS, and p50/p99 per-query latency
 // (submit → finalize, so queueing shows up in the tail, as it should).
 // Every concurrent result's checksum/output_tuples are verified against the
-// query's serial (workers=1) run; any mismatch fails the process — which
+// query's single-worker run; any mismatch fails the process — which
 // makes this binary double as a CI smoke test for the scheduler.
 //
 //   ./build/bench_throughput --sf=0.1 --workers=2,4 --concurrency=4,16
@@ -34,7 +34,7 @@ namespace {
 struct QuerySpec {
   std::string name;
   plan::PlanTemplate tmpl;
-  // Serial (workers=1) ground truth.
+  // Single-worker ground truth.
   uint64_t checksum = 0;
   uint64_t output_tuples = 0;
 };
@@ -107,13 +107,11 @@ int main(int argc, char** argv) {
 
   std::vector<QuerySpec> specs = BuildSpecs(*li, *jc);
 
-  // Serial ground truth (also warms the buffer pool — throughput batches
-  // measure scheduling, not first-touch I/O), via a standalone connection.
+  // Single-worker ground truth (also warms the buffer pool — throughput
+  // batches measure scheduling, not first-touch I/O), run on this thread.
   api::Connection conn(db.get());
   for (QuerySpec& spec : specs) {
-    plan::PlanTemplate tmpl = spec.tmpl;
-    tmpl.config.num_workers = 1;
-    auto r = conn.Query(tmpl);
+    auto r = conn.Query(spec.tmpl);
     CSTORE_CHECK(r.ok()) << spec.name << ": " << r.status().ToString();
     spec.checksum = r->stats.checksum;
     spec.output_tuples = r->stats.output_tuples;
@@ -130,6 +128,8 @@ int main(int argc, char** argv) {
 
   int mismatches = 0;
   for (int workers : opts.worker_sweep) {
+    sched::Scheduler scheduler({workers});
+    api::Connection pooled(db.get(), &scheduler);
     for (int concurrency : opts.concurrency_sweep) {
       // The batch: the distinct queries cycled up to the concurrency level.
       std::vector<const QuerySpec*> batch;
@@ -146,9 +146,7 @@ int main(int argc, char** argv) {
         std::vector<double> lat;
         Stopwatch wall;
         for (const QuerySpec* spec : batch) {
-          plan::PlanTemplate tmpl = spec->tmpl;
-          tmpl.config.num_workers = workers;
-          auto r = conn.Query(tmpl);
+          auto r = pooled.Query(spec->tmpl);
           CSTORE_CHECK(r.ok()) << spec->name << ": " << r.status().ToString();
           lat.push_back(r->stats.wall_micros / 1000.0);
           if (r->stats.checksum != spec->checksum ||
@@ -167,10 +165,6 @@ int main(int argc, char** argv) {
         lat.clear();
         Stopwatch pooled_wall;
         {
-          sched::Scheduler::Options so;
-          so.num_workers = workers;
-          sched::Scheduler scheduler(so);
-          api::Connection pooled(db.get(), &scheduler);
           std::vector<api::PendingResult> pending;
           pending.reserve(batch.size());
           for (const QuerySpec* spec : batch) {

@@ -97,10 +97,10 @@ int main(int argc, char** argv) {
   std::printf("\nparallel probe (right-materialized, warm pool):\n");
   std::printf("%-10s %12s\n", "workers", "time(ms)");
   for (int workers : {1, 2, 4}) {
-    plan::PlanConfig config;
-    config.num_workers = workers;
-    auto r = conn.Query(plan::PlanTemplate::Join(
-        q, exec::JoinRightMode::kMaterialized, config));
+    sched::Scheduler scheduler({workers});
+    api::Connection pooled(db.get(), &scheduler);
+    auto r = pooled.Query(
+        plan::PlanTemplate::Join(q, exec::JoinRightMode::kMaterialized));
     CSTORE_CHECK(r.ok()) << r.status().ToString();
     std::printf("%-10d %12.1f\n", workers, r->stats.wall_micros / 1000.0);
   }

@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
       "readings", {{"temperature", "temperature"}, {"sensor", "sensor"}}));
 
   // 3. A session handle. One Connection per client; it owns the session's
-  //    settings (workers, strategy override, priority) and snapshots the
-  //    table per statement.
+  //    settings (strategy override, priority) and snapshots the table per
+  //    statement. Without a scheduler the calling thread runs each query.
   api::Connection conn(db.get());
 
   // 4. Plain SQL: the advisor picks the materialization strategy.
@@ -81,8 +81,12 @@ int main(int argc, char** argv) {
   }
 
   // 7. Streaming cursor: chunks flow through a bounded queue (backpressure
-  //    instead of materializing the whole result).
-  auto cursor = conn.Stream("SELECT temperature, sensor FROM readings");
+  //    instead of materializing the whole result). Pool workers produce
+  //    while this thread consumes, so streaming takes a session over a
+  //    sched::Scheduler.
+  sched::Scheduler scheduler({2});
+  api::Connection pooled(db.get(), &scheduler);
+  auto cursor = pooled.Stream("SELECT temperature, sensor FROM readings");
   CSTORE_CHECK(cursor.ok()) << cursor.status().ToString();
   uint64_t streamed = 0;
   exec::TupleChunk chunk;

@@ -45,7 +45,8 @@
 // strategy with the paper's analytical model unless you prefix the query
 // with one of: em-pipelined:, em-parallel:, lm-pipelined:, lm-parallel:.
 // A 'workers=N:' prefix (combinable with a strategy prefix, in any order)
-// runs the plan morsel-parallel on N threads; EXPLAIN honours it too.
+// runs the statement morsel-parallel on a pool of N workers; without it the
+// shell's thread executes the statement. EXPLAIN honours it too.
 //
 // Script mode launches every statement of the file (one per line; blank
 // lines and #-comments skipped; strategy prefixes honoured per line)
@@ -201,9 +202,20 @@ bool RunOne(api::Connection* conn, std::string sql) {
   TrimLeading(&sql);
   if (workers == 1) workers = StripWorkersPrefix(&sql);  // either order
   TrimLeading(&sql);
+  // workers=N runs the statement on a pool of that width (a session over
+  // it shares this one's settings and cost model); otherwise this thread
+  // executes it.
+  std::optional<sched::Scheduler> pool;
+  std::optional<api::Connection> pooled;
+  if (workers > 1) {
+    pool.emplace(sched::Scheduler::Options{workers});
+    pooled.emplace(conn->database(), &*pool, conn->settings());
+    pooled->ShareCostCache(*conn);
+    conn = &*pooled;
+  }
   // EXPLAIN / EXPLAIN ANALYZE parse as ordinary statements; Query returns
   // the rendered report in explain_text.
-  auto r = conn->Query(sql, strategy, workers);
+  auto r = conn->Query(sql, strategy);
   if (!r.ok()) {
     std::printf("error: %s\n    %s\n", r.status().ToString().c_str(),
                 sql.c_str());

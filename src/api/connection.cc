@@ -32,18 +32,8 @@ Connection::Connection(db::Database* db, sched::Scheduler* scheduler,
       settings_(std::move(settings)),
       cost_cache_(std::make_shared<CostCache>()) {}
 
-int Connection::EffectiveWorkers(int per_call) const {
-  if (per_call > 0) return per_call;
-  if (scheduler_ != nullptr) return scheduler_->num_workers();
-  return std::max(1, settings_.num_workers);
-}
-
-int Connection::SubmitWorkers() const {
-  // Submitted queries run on the session's scheduler or, for standalone
-  // sessions, the process-wide default pool — advise the strategy for the
-  // pool that will actually execute it.
-  return (scheduler_ != nullptr ? scheduler_ : sched::Scheduler::Default())
-      ->num_workers();
+int Connection::Workers() const {
+  return scheduler_ != nullptr ? scheduler_->num_workers() : 1;
 }
 
 const model::CostParams& Connection::Params() {
@@ -59,9 +49,9 @@ const model::CostParams& Connection::Params() {
 }
 
 model::SelectionModelInput Connection::ModelInputFor(
-    const plan::SelectionQuery& sel, int num_workers) {
+    const plan::SelectionQuery& sel) {
   model::SelectionModelInput input;
-  input.num_workers = num_workers;
+  input.num_workers = Workers();
   input.col1 = model::ColumnStats::FromMeta(sel.columns[0].reader->meta());
   input.sf1 =
       EstimateSelectivity(sel.columns[0].reader->meta(), sel.columns[0].pred);
@@ -89,7 +79,7 @@ double Connection::GroupEstimateFor(const plan::AggQuery& agg) {
 
 Result<plan::Strategy> Connection::ChooseStrategy(
     const plan::SelectionQuery& scan, const plan::AggQuery* agg,
-    std::optional<plan::Strategy> per_call, int num_workers) {
+    std::optional<plan::Strategy> per_call) {
   if (per_call.has_value()) return *per_call;
   if (settings_.strategy.has_value()) return *settings_.strategy;
   if (scan.columns.size() == 1 && agg == nullptr) {
@@ -97,7 +87,7 @@ Result<plan::Strategy> Connection::ChooseStrategy(
     // constructing non-matching tuples.
     return plan::Strategy::kLmParallel;
   }
-  model::SelectionModelInput input = ModelInputFor(scan, num_workers);
+  model::SelectionModelInput input = ModelInputFor(scan);
   model::Advisor advisor(Params());
   if (agg != nullptr) {
     return advisor.ChooseAggregation(input, GroupEstimateFor(*agg));
@@ -107,15 +97,14 @@ Result<plan::Strategy> Connection::ChooseStrategy(
 
 Result<Connection::Runnable> Connection::MakeRunnable(
     BoundSelect* bound, const ResolvedSelect& resolved,
-    std::optional<plan::Strategy> per_call, int num_workers) {
+    std::optional<plan::Strategy> per_call) {
   Runnable run;
   CSTORE_ASSIGN_OR_RETURN(
       run.strategy,
       ChooseStrategy(resolved.scan(),
                      resolved.is_aggregate ? &resolved.agg : nullptr,
-                     per_call, num_workers));
+                     per_call));
   plan::PlanConfig config;
-  config.num_workers = num_workers;
   config.snapshot = resolved.snapshot;
   if (bound->has_order) {
     plan::SortQuery sort;
@@ -222,101 +211,17 @@ Result<QueryResult> Connection::ExecuteWrite(
 
 // --- Execution back ends ----------------------------------------------------
 
-namespace {
-
-/// Query-log record for the standalone (schedulerless) execution path; the
-/// pooled path records inside sched::Scheduler's finalize, with the same
-/// field mapping. No queue on this path, so queue wait is 0 and exec time
-/// equals total time.
-void RecordStandaloneQuery(const plan::PlanTemplate& tmpl,
-                           const std::string& label,
-                           const plan::RunStats& stats, bool ok,
-                           int workers) {
-  obs::QueryLog& log = obs::QueryLog::Global();
-  if (!log.enabled()) return;
-  obs::QueryLogEntry e;
-  e.query_id = obs::NextQueryId();
-  if (label.empty()) {
-    using Kind = plan::PlanTemplate::Kind;
-    e.label = tmpl.kind == Kind::kSelection ? "plan:selection"
-              : tmpl.kind == Kind::kAgg     ? "plan:agg"
-              : tmpl.kind == Kind::kSort    ? "plan:sort"
-                                            : "plan:join";
-  } else {
-    e.label = label;
-  }
-  e.strategy = tmpl.kind == plan::PlanTemplate::Kind::kJoin    ? "join"
-               : tmpl.kind == plan::PlanTemplate::Kind::kSort
-                   ? "sort"
-                   : plan::StrategyName(tmpl.strategy);
-  e.status = ok ? "ok" : "error";
-  e.workers = workers;
-  e.priority = 1;
-  e.queue_wait_usec = 0;
-  e.exec_usec = static_cast<uint64_t>(stats.wall_micros);
-  e.total_usec = e.exec_usec;
-  e.rows_out = stats.output_tuples;
-  e.cache_hits = stats.io.cache_hits;
-  e.physical_reads = stats.io.physical_reads;
-  e.bytes_read = (e.cache_hits + e.physical_reads) * kPageSize;
-  e.pool_lock_acquisitions = stats.io.pool_lock_acquisitions;
-  e.pool_lock_contended = stats.io.pool_lock_contended;
-  e.pool_lock_wait_ns = stats.io.pool_lock_wait_ns;
-  e.chunk_pool_acquires = stats.exec.chunk_pool_acquires;
-  e.chunk_pool_reuses = stats.exec.chunk_pool_reuses;
-  e.chunk_pool_allocs = stats.exec.chunk_pool_allocs;
-  log.Record(std::move(e));
-}
-
-}  // namespace
-
-Result<QueryResult> Connection::RunTemplateSync(const plan::PlanTemplate& tmpl,
-                                                const std::string& label) {
-  if (scheduler_ != nullptr) {
-    Runnable run;
-    run.tmpl = tmpl;
-    run.strategy = tmpl.strategy;
-    run.label = label;
-    return SubmitRunnable(run).Wait();
-  }
-  QueryResult result;
-  bool first = true;
-  // The sink runs serialized (ExecuteParallel locks around it), so plain
-  // appends are safe even with multiple workers.
-  Status st = plan::ExecuteParallel(
-      tmpl, db_->pool(), &result.stats,
-      [&](const exec::TupleChunk& chunk) {
-        AppendChunk(&result.tuples, &first, chunk);
-      });
-  RecordStandaloneQuery(tmpl, label, result.stats, st.ok(),
-                        std::max(1, tmpl.config.num_workers));
-  CSTORE_RETURN_IF_ERROR(st);
-  return result;
-}
-
-Result<QueryResult> Connection::RunRunnableSync(const Runnable& run) {
-  CSTORE_ASSIGN_OR_RETURN(QueryResult result,
-                          RunTemplateSync(run.tmpl, run.label));
-  result.tuples = ProjectChunk(run.output_slots, std::move(result.tuples));
-  result.column_names = run.output_names;
-  result.strategy = run.strategy;
-  return result;
-}
-
-PendingResult Connection::SubmitRunnable(const Runnable& run,
-                                         bool materialize) {
-  sched::Scheduler* scheduler =
-      scheduler_ != nullptr ? scheduler_ : sched::Scheduler::Default();
+PendingResult Connection::SubmitRunnable(Runnable run, bool materialize) {
   PendingResult pending;
   pending.engaged_ = true;
   pending.early_ = Status::OK();
   pending.buffer_ = std::make_shared<QueryResult>();
-  pending.output_slots_ = run.output_slots;
-  pending.column_names_ = run.output_names;
+  pending.output_slots_ = std::move(run.output_slots);
+  pending.column_names_ = std::move(run.output_names);
   pending.strategy_ = run.strategy;
   sched::Scheduler::SubmitOptions options;
   options.priority = settings_.priority;
-  options.label = run.label;
+  options.label = std::move(run.label);
   if (materialize) {
     std::shared_ptr<QueryResult> buffer = pending.buffer_;
     // The sink runs sequentially at finalization (scheduler contract), so
@@ -326,12 +231,23 @@ PendingResult Connection::SubmitRunnable(const Runnable& run,
           AppendChunk(&buffer->tuples, &first, chunk);
         };
   }
+  // Without a pool the calling thread is the query's one worker: the
+  // statement runs now and the handle comes back finished.
   pending.ticket_ =
-      scheduler->Submit(run.tmpl, db_->pool(), std::move(options));
+      scheduler_ != nullptr
+          ? scheduler_->Submit(std::move(run.tmpl), db_->pool(),
+                               std::move(options))
+          : sched::Scheduler::RunOnCaller(std::move(run.tmpl), db_->pool(),
+                                          std::move(options));
   return pending;
 }
 
-Result<RowCursor> Connection::StreamRunnable(const Runnable& run) {
+Result<RowCursor> Connection::StreamRunnable(Runnable run) {
+  if (scheduler_ == nullptr) {
+    // A bounded cursor needs a producer thread apart from its consumer.
+    return Status::InvalidArgument(
+        "streaming needs a session with a scheduler; use Query");
+  }
   RowCursor cursor;
   cursor.queue_ =
       std::make_shared<ChunkQueue>(std::max<size_t>(1,
@@ -339,39 +255,27 @@ Result<RowCursor> Connection::StreamRunnable(const Runnable& run) {
   if (settings_.stream_byte_account != nullptr) {
     cursor.queue_->set_byte_account(settings_.stream_byte_account);
   }
-  cursor.output_slots_ = run.output_slots;
-  cursor.column_names_ = run.output_names;
+  cursor.output_slots_ = std::move(run.output_slots);
+  cursor.column_names_ = std::move(run.output_names);
   cursor.strategy_ = run.strategy;
-
-  sched::Scheduler* scheduler = scheduler_;
-  if (scheduler == nullptr) {
-    // Standalone session: a private pool sized to the statement keeps the
-    // stream independent of other sessions (and serial chunk order intact
-    // at one worker).
-    sched::Scheduler::Options so;
-    so.num_workers = std::max(1, run.tmpl.config.num_workers);
-    cursor.own_scheduler_ = std::make_shared<sched::Scheduler>(so);
-    scheduler = cursor.own_scheduler_.get();
-  }
 
   std::shared_ptr<ChunkQueue> queue = cursor.queue_;
   sched::Scheduler::SubmitOptions options;
   options.priority = settings_.priority;
-  options.label = run.label;
+  options.label = std::move(run.label);
   options.stream_sink = [queue](const exec::TupleChunk& chunk) {
     return queue->Push(chunk);
   };
   options.on_complete = [queue] { queue->Finish(); };
-  cursor.ticket_ = scheduler->Submit(run.tmpl, db_->pool(),
-                                     std::move(options));
+  cursor.ticket_ = scheduler_->Submit(std::move(run.tmpl), db_->pool(),
+                                      std::move(options));
   return cursor;
 }
 
 // --- SQL entry points -------------------------------------------------------
 
 Result<QueryResult> Connection::Query(const std::string& sql,
-                                      std::optional<plan::Strategy> strategy,
-                                      int num_workers) {
+                                      std::optional<plan::Strategy> strategy) {
   Result<sql::ParsedStatement> parsed = [&] {
     obs::SpanTimer span("parse", "sql");
     return sql::ParseStatement(sql);
@@ -383,8 +287,7 @@ Result<QueryResult> Connection::Query(const std::string& sql,
         "statement has ? parameters; use Connection::Prepare");
   }
   if (stmt.explain != sql::ParsedStatement::Explain::kNone) {
-    return ExplainStatement(stmt, strategy, EffectiveWorkers(num_workers),
-                            {});
+    return ExplainStatement(stmt, strategy, {});
   }
   if (stmt.kind != sql::ParsedStatement::Kind::kSelect) {
     return ExecuteWrite(stmt, {});
@@ -401,11 +304,10 @@ Result<QueryResult> Connection::Query(const std::string& sql,
   Runnable run;
   {
     obs::SpanTimer span("plan", "sql");
-    CSTORE_ASSIGN_OR_RETURN(run, MakeRunnable(&bound, resolved, strategy,
-                                              EffectiveWorkers(num_workers)));
+    CSTORE_ASSIGN_OR_RETURN(run, MakeRunnable(&bound, resolved, strategy));
   }
   run.label = sql;
-  return RunRunnableSync(run);
+  return SubmitRunnable(std::move(run)).Wait();
 }
 
 PendingResult Connection::Submit(const std::string& sql,
@@ -430,9 +332,8 @@ PendingResult Connection::Submit(const std::string& sql,
       // EXPLAIN [ANALYZE] runs to completion here (its product is a
       // report, not a stream of chunks) and rides back as an immediate
       // result, like a write.
-      CSTORE_ASSIGN_OR_RETURN(
-          QueryResult result,
-          ExplainStatement(stmt, strategy, SubmitWorkers(), {}));
+      CSTORE_ASSIGN_OR_RETURN(QueryResult result,
+                              ExplainStatement(stmt, strategy, {}));
       pending.immediate_ = std::move(result);
       return Status::OK();
     }
@@ -453,11 +354,10 @@ PendingResult Connection::Submit(const std::string& sql,
     Runnable run;
     {
       obs::SpanTimer span("plan", "sql");
-      CSTORE_ASSIGN_OR_RETURN(
-          run, MakeRunnable(&bound, resolved, strategy, SubmitWorkers()));
+      CSTORE_ASSIGN_OR_RETURN(run, MakeRunnable(&bound, resolved, strategy));
     }
     run.label = sql;
-    pending = SubmitRunnable(run);
+    pending = SubmitRunnable(std::move(run));
     return Status::OK();
   }();
   return pending;
@@ -483,11 +383,10 @@ Result<RowCursor> Connection::Stream(const std::string& sql,
   CSTORE_ASSIGN_OR_RETURN(
       ResolvedSelect resolved,
       internal::ResolveSelect(db_, &bound, {}, bound.bind_snapshot));
-  CSTORE_ASSIGN_OR_RETURN(
-      Runnable run,
-      MakeRunnable(&bound, resolved, strategy, EffectiveWorkers(0)));
+  CSTORE_ASSIGN_OR_RETURN(Runnable run,
+                          MakeRunnable(&bound, resolved, strategy));
   run.label = sql;
-  return StreamRunnable(run);
+  return StreamRunnable(std::move(run));
 }
 
 Result<PreparedStatement> Connection::Prepare(const std::string& sql) {
@@ -547,13 +446,7 @@ Result<PreparedStatement> Connection::Prepare(const std::string& sql) {
 }
 
 Result<std::string> Connection::Explain(const std::string& sql,
-                                        int num_workers) {
-  return Explain(sql, std::vector<Value>(), num_workers);
-}
-
-Result<std::string> Connection::Explain(const std::string& sql,
-                                        const std::vector<Value>& params,
-                                        int num_workers) {
+                                        const std::vector<Value>& params) {
   CSTORE_ASSIGN_OR_RETURN(sql::ParsedStatement stmt,
                           sql::ParseStatement(sql));
   if (stmt.kind != sql::ParsedStatement::Kind::kSelect) {
@@ -571,8 +464,7 @@ Result<std::string> Connection::Explain(const std::string& sql,
   CSTORE_ASSIGN_OR_RETURN(
       ResolvedSelect resolved,
       internal::ResolveSelect(db_, &bound, params, bound.bind_snapshot));
-  model::SelectionModelInput input =
-      ModelInputFor(resolved.scan(), EffectiveWorkers(num_workers));
+  model::SelectionModelInput input = ModelInputFor(resolved.scan());
   model::Advisor advisor(Params());
   std::string report =
       resolved.is_aggregate
@@ -644,7 +536,7 @@ std::string Connection::PressureReport() const {
 
 Result<QueryResult> Connection::ExplainStatement(
     const sql::ParsedStatement& stmt, std::optional<plan::Strategy> strategy,
-    int num_workers, const std::vector<Value>& params) {
+    const std::vector<Value>& params) {
   BoundSelect bound;
   ResolvedSelect resolved;
   {
@@ -657,13 +549,11 @@ Result<QueryResult> Connection::ExplainStatement(
   Runnable run;
   {
     obs::SpanTimer span("plan", "sql");
-    CSTORE_ASSIGN_OR_RETURN(
-        run, MakeRunnable(&bound, resolved, strategy, num_workers));
+    CSTORE_ASSIGN_OR_RETURN(run, MakeRunnable(&bound, resolved, strategy));
   }
 
   // The model's predictions — what EXPLAIN without ANALYZE reports.
-  model::SelectionModelInput input =
-      ModelInputFor(resolved.scan(), num_workers);
+  model::SelectionModelInput input = ModelInputFor(resolved.scan());
   model::Advisor advisor(Params());
   std::string report = "strategy: ";
   report += plan::StrategyName(run.strategy);
@@ -682,7 +572,8 @@ Result<QueryResult> Connection::ExplainStatement(
   if (stmt.explain == sql::ParsedStatement::Explain::kAnalyze) {
     auto profile = std::make_shared<obs::PlanProfile>();
     run.tmpl.config.profile = profile;
-    CSTORE_ASSIGN_OR_RETURN(QueryResult executed, RunRunnableSync(run));
+    CSTORE_ASSIGN_OR_RETURN(QueryResult executed,
+                            SubmitRunnable(std::move(run)).Wait());
     out.stats = executed.stats;
     report += "plan (actual, all workers summed):\n";
     report += profile->Format();
@@ -715,8 +606,7 @@ Result<QueryResult> Connection::ExplainStatement(
 }
 
 Result<QueryResult> Connection::ExplainAnalyze(
-    const std::string& sql, const std::vector<Value>& params,
-    int num_workers) {
+    const std::string& sql, const std::vector<Value>& params) {
   Result<sql::ParsedStatement> parsed = [&] {
     obs::SpanTimer span("parse", "sql");
     return sql::ParseStatement(sql);
@@ -733,8 +623,7 @@ Result<QueryResult> Connection::ExplainAnalyze(
         " parameter(s), got " + std::to_string(params.size()));
   }
   stmt.explain = sql::ParsedStatement::Explain::kAnalyze;
-  return ExplainStatement(stmt, std::nullopt, EffectiveWorkers(num_workers),
-                          params);
+  return ExplainStatement(stmt, std::nullopt, params);
 }
 
 std::string Connection::Metrics() const {
@@ -813,9 +702,7 @@ std::string Connection::Metrics() const {
 // --- Typed-plan entry points ------------------------------------------------
 
 Result<QueryResult> Connection::Query(const plan::PlanTemplate& tmpl) {
-  CSTORE_ASSIGN_OR_RETURN(QueryResult result, RunTemplateSync(tmpl));
-  result.strategy = tmpl.strategy;  // report what ran, as the pooled path does
-  return result;
+  return Submit(tmpl).Wait();
 }
 
 PendingResult Connection::Submit(const plan::PlanTemplate& tmpl,
@@ -823,21 +710,20 @@ PendingResult Connection::Submit(const plan::PlanTemplate& tmpl,
   Runnable run;
   run.tmpl = tmpl;
   run.strategy = tmpl.strategy;
-  return SubmitRunnable(run, materialize);
+  return SubmitRunnable(std::move(run), materialize);
 }
 
 Result<RowCursor> Connection::Stream(const plan::PlanTemplate& tmpl) {
   Runnable run;
   run.tmpl = tmpl;
   run.strategy = tmpl.strategy;
-  return StreamRunnable(run);
+  return StreamRunnable(std::move(run));
 }
 
 // --- PreparedStatement back ends --------------------------------------------
 
 Status Connection::PrepareRun(PreparedStatement* stmt,
-                              const std::vector<Value>& params,
-                              int num_workers) {
+                              const std::vector<Value>& params) {
   BoundSelect& bound = stmt->bound_;
   CSTORE_ASSIGN_OR_RETURN(auto snapshot, db_->SnapshotTable(bound.table));
 
@@ -847,8 +733,7 @@ Status Connection::PrepareRun(PreparedStatement* stmt,
         ResolvedSelect resolved,
         internal::ResolveSelect(db_, &bound, params, std::move(snapshot)));
     CSTORE_ASSIGN_OR_RETURN(
-        Runnable run, MakeRunnable(&bound, resolved, std::nullopt,
-                                   num_workers));
+        Runnable run, MakeRunnable(&bound, resolved, std::nullopt));
     stmt->template_ = std::move(run.tmpl);
     stmt->has_template_ = true;
     return Status::OK();
@@ -889,24 +774,15 @@ Status Connection::PrepareRun(PreparedStatement* stmt,
                             stmt->bounds_scratch_[i].ToPredicate());
   }
   tmpl.config.snapshot = std::move(snapshot);
-  tmpl.config.num_workers = num_workers;
   CSTORE_ASSIGN_OR_RETURN(
-      tmpl.strategy, ChooseStrategy(scan, is_agg ? &tmpl.agg : nullptr,
-                                    std::nullopt, num_workers));
+      tmpl.strategy,
+      ChooseStrategy(scan, is_agg ? &tmpl.agg : nullptr, std::nullopt));
   return Status::OK();
 }
 
 Result<QueryResult> Connection::ExecutePrepared(
     PreparedStatement* stmt, const std::vector<Value>& params) {
-  if (stmt->is_write()) return ExecuteWrite(stmt->stmt_, params);
-  CSTORE_RETURN_IF_ERROR(PrepareRun(stmt, params, EffectiveWorkers(0)));
-  CSTORE_ASSIGN_OR_RETURN(QueryResult result,
-                          RunTemplateSync(stmt->template_, stmt->sql_));
-  result.tuples =
-      ProjectChunk(stmt->bound_.output_slots, std::move(result.tuples));
-  result.column_names = stmt->bound_.output_names;
-  result.strategy = stmt->template_.strategy;
-  return result;
+  return SubmitPrepared(stmt, params).Wait();
 }
 
 PendingResult Connection::SubmitPrepared(PreparedStatement* stmt,
@@ -920,14 +796,14 @@ PendingResult Connection::SubmitPrepared(PreparedStatement* stmt,
       pending.immediate_ = std::move(result);
       return Status::OK();
     }
-    CSTORE_RETURN_IF_ERROR(PrepareRun(stmt, params, SubmitWorkers()));
+    CSTORE_RETURN_IF_ERROR(PrepareRun(stmt, params));
     Runnable run;
     run.tmpl = stmt->template_;
     run.output_slots = stmt->bound_.output_slots;
     run.output_names = stmt->bound_.output_names;
     run.strategy = stmt->template_.strategy;
     run.label = stmt->sql_;
-    pending = SubmitRunnable(run);
+    pending = SubmitRunnable(std::move(run));
     return Status::OK();
   }();
   return pending;
@@ -938,14 +814,14 @@ Result<RowCursor> Connection::StreamPrepared(
   if (stmt->is_write()) {
     return Status::InvalidArgument("cannot stream a write statement");
   }
-  CSTORE_RETURN_IF_ERROR(PrepareRun(stmt, params, EffectiveWorkers(0)));
+  CSTORE_RETURN_IF_ERROR(PrepareRun(stmt, params));
   Runnable run;
   run.tmpl = stmt->template_;
   run.output_slots = stmt->bound_.output_slots;
   run.output_names = stmt->bound_.output_names;
   run.strategy = stmt->template_.strategy;
   run.label = stmt->sql_;
-  return StreamRunnable(run);
+  return StreamRunnable(std::move(run));
 }
 
 }  // namespace api

@@ -1,10 +1,10 @@
 // api::Connection — the one client surface of the engine.
 //
 // A Connection is a session handle over a Database plus (optionally) a
-// shared sched::Scheduler. It owns per-session settings (worker count,
-// strategy override, scheduler priority), captures a read-your-writes
-// snapshot per statement, and exposes every way of running work through
-// one unified result shape:
+// shared sched::Scheduler. It owns per-session settings (strategy override,
+// scheduler priority, stream bounds), captures a read-your-writes snapshot
+// per statement, and exposes every way of running work through one unified
+// result shape:
 //
 //   Query(sql)    — synchronous; returns a materialized api::QueryResult
 //   Submit(sql)   — asynchronous; returns an api::PendingResult handle
@@ -13,24 +13,27 @@
 //   Query/Submit/Stream(plan::PlanTemplate) — the typed-plan path the
 //                   paper-figure benches use (no SQL, no projection)
 //
-// Standalone connections (no scheduler) run synchronous queries through
-// plan::ExecuteParallel with the session's worker count — bit-identical to
-// the pre-api engine, including serial chunk order at num_workers = 1 —
-// and create a private scheduler per streaming query. Pooled connections
-// run everything on the shared scheduler, interleaving with other
-// sessions' queries at morsel granularity.
+// There are two kinds of session, and both execute every query through the
+// scheduler's per-query code (so every query is counted in the scheduler
+// metrics, listed in system.queries and logged once to system.query_log):
 //
-// The legacy surfaces are thin wrappers over this class: Database::Run*
-// and Database::Submit delegate here, and sql::Engine is a compatibility
-// facade (Execute → Query, SubmitAll → Submit). One execution path, one
-// behavior.
+//   * A session with a scheduler runs everything on the shared pool,
+//     interleaving with other sessions' queries at morsel granularity.
+//   * A session without one runs each statement on the calling thread as
+//     the query's only worker (sched::Scheduler::RunOnCaller). Submit runs
+//     the statement at once and returns a finished handle; Stream is
+//     InvalidArgument, because a bounded cursor needs a producer thread
+//     apart from its consumer. Parallel, asynchronous and streaming callers
+//     construct a sched::Scheduler of the width they want.
+//
+// The advisor's parallelism input is the executing width: the pool's, or 1.
 //
 // Thread safety: a Connection may be shared across threads for Query /
 // Submit / Stream of *independent* statements (the underlying catalog and
 // scheduler are thread-safe; the lazily calibrated cost-model cache takes
-// its own lock). Session mutation — set_settings, ShareCostCache — belongs
-// to setup, before the Connection is shared. PreparedStatement objects are
-// single-threaded.
+// its own lock). Session mutation — set_settings, ShareCostCache,
+// set_statement_cache — belongs to setup, before the Connection is shared.
+// PreparedStatement objects are single-threaded.
 
 #ifndef CSTORE_API_CONNECTION_H_
 #define CSTORE_API_CONNECTION_H_
@@ -59,10 +62,6 @@ class StatementCache;
 class Connection {
  public:
   struct Settings {
-    // Worker threads for synchronous execution on a standalone connection
-    // (also the advisor's parallelism input there). Pooled connections take
-    // parallelism from the scheduler's pool width.
-    int num_workers = 1;
     // Session-wide strategy override; the advisor picks when unset.
     // Per-call overrides win over this.
     std::optional<plan::Strategy> strategy;
@@ -80,9 +79,10 @@ class Connection {
     std::atomic<int64_t>* stream_byte_account = nullptr;
   };
 
-  /// `scheduler == nullptr` makes a standalone session (private execution);
-  /// otherwise every query runs on the shared pool. Neither `db` nor
-  /// `scheduler` is owned; both must outlive the Connection.
+  /// `scheduler == nullptr` makes a session that runs every statement on
+  /// the calling thread; otherwise every query runs on the shared pool.
+  /// Neither `db` nor `scheduler` is owned; both must outlive the
+  /// Connection.
   explicit Connection(db::Database* db, sched::Scheduler* scheduler = nullptr);
   Connection(db::Database* db, sched::Scheduler* scheduler,
              Settings settings);
@@ -95,29 +95,28 @@ class Connection {
   // --- SQL --------------------------------------------------------------
 
   /// Executes one statement (SELECT / INSERT / DELETE / UPDATE) against a
-  /// write snapshot captured at bind time. `num_workers` > 0 overrides the
-  /// session's worker count for this call. Statements containing `?` must
+  /// write snapshot captured at bind time. Statements containing `?` must
   /// go through Prepare.
   Result<QueryResult> Query(const std::string& sql,
-                            std::optional<plan::Strategy> strategy = {},
-                            int num_workers = 0);
+                            std::optional<plan::Strategy> strategy = {});
 
   /// Parses, binds, and strategy-advises now (errors are carried in the
-  /// handle); execution proceeds concurrently on the session's scheduler
-  /// (the process-wide default pool if the session is standalone). Write
-  /// statements execute at submit time, so later statements observe them.
+  /// handle); execution proceeds concurrently on the session's scheduler,
+  /// or runs to completion before returning on a session without one.
+  /// Write statements execute at submit time, so later statements observe
+  /// them.
   PendingResult Submit(const std::string& sql,
                        std::optional<plan::Strategy> strategy = {});
 
   /// Streaming execution of a SELECT: chunks flow to the returned cursor
-  /// through a bounded queue (see Settings::stream_queue_chunks).
+  /// through a bounded queue (see Settings::stream_queue_chunks). Needs a
+  /// session with a scheduler (InvalidArgument otherwise).
   Result<RowCursor> Stream(const std::string& sql,
                            std::optional<plan::Strategy> strategy = {});
 
   /// Parses and binds once; the returned statement executes many times
   /// with `?` parameter values, re-capturing only the snapshot per run.
-  /// The statement borrows this Connection and must not outlive it. With a
-  /// statement cache attached, the parse+bind is shared across sessions.
+  /// The statement borrows this Connection and must not outlive it.
   Result<PreparedStatement> Prepare(const std::string& sql);
 
   /// Attaches a shared statement cache: subsequent Prepare(sql) calls
@@ -133,10 +132,8 @@ class Connection {
   /// placeholder, in order) — the report then reflects the parameterized
   /// predicates' selectivities, exactly as a prepared execution would see
   /// them.
-  Result<std::string> Explain(const std::string& sql, int num_workers = 0);
   Result<std::string> Explain(const std::string& sql,
-                              const std::vector<Value>& params,
-                              int num_workers = 0);
+                              const std::vector<Value>& params = {});
 
   /// EXPLAIN ANALYZE: executes the SELECT and returns a QueryResult whose
   /// explain_text holds the plan annotated with per-operator actual
@@ -144,8 +141,7 @@ class Connection {
   /// not materialized; stats are the real run's). Equivalent to
   /// Query("EXPLAIN ANALYZE " + sql).
   Result<QueryResult> ExplainAnalyze(const std::string& sql,
-                                     const std::vector<Value>& params = {},
-                                     int num_workers = 0);
+                                     const std::vector<Value>& params = {});
 
   /// Prometheus-style metrics dump: the process-wide MetricsRegistry
   /// (scheduler counters, queue depth, latency histograms) plus this
@@ -155,11 +151,10 @@ class Connection {
 
   // --- Typed plans ------------------------------------------------------
 
-  /// Runs a typed plan template. Standalone sessions honour
-  /// `tmpl.config.num_workers` exactly as plan::ExecuteParallel does;
-  /// pooled sessions let the pool decide parallelism. `materialize = false`
-  /// skips output buffering entirely — Wait() returns stats and an empty
-  /// tuple chunk (what benches measuring QPS/latency want).
+  /// Runs a typed plan template, on the pool or on the caller like any
+  /// statement. `materialize = false` skips output buffering entirely —
+  /// Wait() returns stats and an empty tuple chunk (what benches measuring
+  /// QPS/latency want).
   Result<QueryResult> Query(const plan::PlanTemplate& tmpl);
   PendingResult Submit(const plan::PlanTemplate& tmpl,
                        bool materialize = true);
@@ -192,24 +187,20 @@ class Connection {
     std::string label;
   };
 
-  int EffectiveWorkers(int per_call) const;
-  /// Worker count of the pool Submit actually targets (session scheduler
-  /// or the process-wide default) — the advisor's parallelism input there.
-  int SubmitWorkers() const;
+  /// The executing width — the pool's, or 1 on the caller: the advisor's
+  /// parallelism input.
+  int Workers() const;
   const model::CostParams& Params();
-  model::SelectionModelInput ModelInputFor(const plan::SelectionQuery& scan,
-                                           int num_workers);
+  model::SelectionModelInput ModelInputFor(const plan::SelectionQuery& scan);
   double GroupEstimateFor(const plan::AggQuery& agg);
   /// `agg` may be null for plain selections.
   Result<plan::Strategy> ChooseStrategy(const plan::SelectionQuery& scan,
                                         const plan::AggQuery* agg,
-                                        std::optional<plan::Strategy> per_call,
-                                        int num_workers);
+                                        std::optional<plan::Strategy> per_call);
   /// Builds the plan template for a resolved statement.
   Result<Runnable> MakeRunnable(internal::BoundSelect* bound,
                                 const internal::ResolvedSelect& resolved,
-                                std::optional<plan::Strategy> per_call,
-                                int num_workers);
+                                std::optional<plan::Strategy> per_call);
 
   /// Executes a write statement immediately (all kinds but kSelect).
   Result<QueryResult> ExecuteWrite(const sql::ParsedStatement& stmt,
@@ -220,18 +211,15 @@ class Connection {
   /// per-operator actuals.
   Result<QueryResult> ExplainStatement(const sql::ParsedStatement& stmt,
                                        std::optional<plan::Strategy> strategy,
-                                       int num_workers,
                                        const std::vector<Value>& params);
 
   /// Shared-resource pressure section appended to Explain output: shard
   /// lock contention, retired fds, chunk/page-pool recycling.
   std::string PressureReport() const;
 
-  Result<QueryResult> RunTemplateSync(const plan::PlanTemplate& tmpl,
-                                      const std::string& label = {});
-  Result<QueryResult> RunRunnableSync(const Runnable& run);
-  PendingResult SubmitRunnable(const Runnable& run, bool materialize = true);
-  Result<RowCursor> StreamRunnable(const Runnable& run);
+  /// Runs on the session's scheduler, or on the caller without one.
+  PendingResult SubmitRunnable(Runnable run, bool materialize = true);
+  Result<RowCursor> StreamRunnable(Runnable run);
 
   // PreparedStatement back ends.
   Result<QueryResult> ExecutePrepared(PreparedStatement* stmt,
@@ -244,10 +232,10 @@ class Connection {
   /// execution: new snapshot, parameter predicates, strategy — and readers,
   /// only if a compaction swapped the generation since the last run.
   Status PrepareRun(PreparedStatement* stmt,
-                    const std::vector<Value>& params, int num_workers);
+                    const std::vector<Value>& params);
 
   db::Database* db_;
-  sched::Scheduler* scheduler_;  // null = standalone session
+  sched::Scheduler* scheduler_;  // null = run on the calling thread
   Settings settings_;
   std::shared_ptr<CostCache> cost_cache_;
   StatementCache* stmt_cache_ = nullptr;  // not owned; may be null

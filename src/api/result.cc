@@ -157,7 +157,6 @@ Status RowCursor::FinishStream() {
   stats_ = r.stats;
   final_status_ = r.status;
   finished_ = true;
-  own_scheduler_.reset();
   return final_status_;
 }
 

@@ -13,7 +13,7 @@
 //            predicates, and (only if a compaction swapped the table's
 //            generation since bind) re-resolve the readers.
 //
-// sql::Engine::Execute re-binds every statement; api::PreparedStatement
+// Connection::Query(sql) re-binds every statement; api::PreparedStatement
 // binds once and resolves per execution — that is the whole difference
 // bench_api measures.
 

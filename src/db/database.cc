@@ -4,7 +4,6 @@
 #include <cctype>
 #include <thread>
 
-#include "api/connection.h"
 #include "exec/chunk_pool.h"
 #include "exec/sys_scan.h"
 #include "sched/scheduler.h"
@@ -252,9 +251,9 @@ Result<std::shared_ptr<const write::WriteSnapshot>> Database::SystemSnapshot(
 
   std::vector<std::vector<Value>> cols;
   if (table == "system.metrics") {
-    // A process that has only run standalone queries hasn't built a pool
-    // yet; register the scheduler families so their gauges report as zero
-    // instead of being absent.
+    // A process that has run no query yet has not registered the scheduler
+    // families; register them so their gauges report as zero instead of
+    // being absent.
     sched::EnsureSchedMetricsRegistered();
     cols = exec::SysMetricsColumns();
   } else if (table == "system.queries") {
@@ -464,14 +463,10 @@ Result<uint64_t> Database::DeleteWhere(
       query.columns.push_back({reader, pred});
     }
   }
-  plan::PlanConfig config;
-  config.snapshot = snap;
   std::vector<Position> positions;
   plan::RunStats stats;
-  CSTORE_RETURN_IF_ERROR(plan::ExecuteParallel(
-      plan::PlanTemplate::Selection(query, plan::Strategy::kLmParallel,
-                                    config),
-      pool_.get(), &stats, [&](const exec::TupleChunk& chunk) {
+  CSTORE_RETURN_IF_ERROR(ScanWhere(
+      query, std::move(snap), &stats, [&](const exec::TupleChunk& chunk) {
         positions.insert(positions.end(), chunk.positions().begin(),
                          chunk.positions().end());
       }));
@@ -542,15 +537,11 @@ Result<uint64_t> Database::UpdateWhere(
     }
   }
 
-  plan::PlanConfig config;
-  config.snapshot = snap;
   std::vector<Position> positions;
   std::vector<std::vector<Value>> rows;
   plan::RunStats stats;
-  CSTORE_RETURN_IF_ERROR(plan::ExecuteParallel(
-      plan::PlanTemplate::Selection(query, plan::Strategy::kLmParallel,
-                                    config),
-      pool_.get(), &stats, [&](const exec::TupleChunk& chunk) {
+  CSTORE_RETURN_IF_ERROR(ScanWhere(
+      query, std::move(snap), &stats, [&](const exec::TupleChunk& chunk) {
         for (size_t i = 0; i < chunk.num_tuples(); ++i) {
           positions.push_back(chunk.position(i));
           std::vector<Value> row(chunk.tuple(i),
@@ -737,40 +728,26 @@ Status Database::EnableTupleMover(sched::Scheduler* scheduler,
 
 void Database::DisableTupleMover() { mover_.reset(); }
 
-// ---------------------------------------------------------------------------
-// Query execution
-// ---------------------------------------------------------------------------
-
-PendingQuery Database::Submit(const plan::PlanTemplate& tmpl,
-                              sched::Scheduler* scheduler, int priority) {
-  api::Connection::Settings settings;
-  settings.priority = priority;
-  api::Connection conn(this, scheduler, settings);
-  return conn.Submit(tmpl);
-}
-
-Result<QueryResult> Database::ExecuteTemplate(const plan::PlanTemplate& tmpl) {
-  api::Connection conn(this);
-  return conn.Query(tmpl);
-}
-
-Result<QueryResult> Database::RunSelection(const plan::SelectionQuery& query,
-                                           plan::Strategy strategy,
-                                           const plan::PlanConfig& config) {
-  return ExecuteTemplate(
-      plan::PlanTemplate::Selection(query, strategy, config));
-}
-
-Result<QueryResult> Database::RunAgg(const plan::AggQuery& query,
-                                     plan::Strategy strategy,
-                                     const plan::PlanConfig& config) {
-  return ExecuteTemplate(plan::PlanTemplate::Agg(query, strategy, config));
-}
-
-Result<QueryResult> Database::RunJoin(const plan::JoinQuery& query,
-                                      exec::JoinRightMode mode,
-                                      const plan::PlanConfig& config) {
-  return ExecuteTemplate(plan::PlanTemplate::Join(query, mode, config));
+Status Database::ScanWhere(
+    const plan::SelectionQuery& query,
+    std::shared_ptr<const write::WriteSnapshot> snap, plan::RunStats* stats,
+    const std::function<void(const exec::TupleChunk&)>& sink) {
+  plan::PlanConfig config;
+  config.snapshot = std::move(snap);
+  // Plan construction may touch blocks (index boundary lookups); its I/O
+  // belongs to the scan too.
+  storage::IoStats build_io;
+  Result<std::unique_ptr<plan::Plan>> plan = [&] {
+    storage::BufferPool::ScopedIoAttribution attribution(&build_io);
+    return plan::BuildSelectionPlan(query, plan::Strategy::kLmParallel,
+                                    config);
+  }();
+  CSTORE_RETURN_IF_ERROR(plan.status());
+  CSTORE_RETURN_IF_ERROR(plan::ExecutePlan(plan->get(), pool_.get(), stats,
+                                           sink));
+  stats->io += build_io;
+  stats->charged_io_micros = stats->io.charged_io_micros;
+  return Status::OK();
 }
 
 }  // namespace db

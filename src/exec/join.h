@@ -43,7 +43,6 @@
 #define CSTORE_EXEC_JOIN_H_
 
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -85,9 +84,9 @@ inline const char* JoinRightModeName(JoinRightMode m) {
 }
 
 /// The inner (build) side of a hash join: constructed once by Build() (the
-/// serial path) or assembled from radix partitions built in parallel by
-/// Assemble(); immutable afterwards, safe to probe from any number of
-/// threads. `right_key` is assumed unique (primary key).
+/// one-task build pipeline) or assembled from radix partitions built in
+/// parallel by Assemble(); immutable afterwards, safe to probe from any
+/// number of threads. `right_key` is assumed unique (primary key).
 ///
 /// The hash table is split into 1 << radix_bits partitions keyed by
 /// PartitionIndex(key). The serial build uses one partition (radix_bits =
@@ -202,13 +201,9 @@ class JoinProbeOp : public TupleOp {
     const codec::ColumnReader* left_payload = nullptr;
   };
 
-  /// `shared` (may be null) is the scheduler-built table every probe morsel
-  /// borrows. When null — the serial path — the op builds its own table
-  /// from `own_build` on first Next(), exactly where the pre-refactor join
-  /// built its hash table.
-  JoinProbeOp(const Spec& spec, const JoinBuildTable* shared,
-              std::optional<JoinBuildTable::Spec> own_build,
-              ExecStats* stats);
+  /// `table` is the build phase's product every probe morsel borrows; it
+  /// must outlive the op.
+  JoinProbeOp(const Spec& spec, const JoinBuildTable* table, ExecStats* stats);
 
   Result<bool> NextImpl(TupleChunk* out) override;
   const char* name() const override { return "join-probe"; }
@@ -218,9 +213,7 @@ class JoinProbeOp : public TupleOp {
   Status ProbeEarlyChunk(const TupleChunk& in, TupleChunk* out);
 
   Spec spec_;
-  const JoinBuildTable* table_;  // shared, or own_table_ once built
-  std::optional<JoinBuildTable::Spec> own_build_;
-  std::unique_ptr<JoinBuildTable> own_table_;
+  const JoinBuildTable* table_;
   ExecStats* stats_;
 
   // Per-chunk scratch.

@@ -119,9 +119,9 @@ class QueryLog {
   std::vector<Slot> slots_;
 };
 
-/// Allocates process-unique query ids (shared by every scheduler and the
-/// standalone execution path, so system.queries/system.query_log ids never
-/// collide across pools).
+/// Allocates process-unique query ids (shared by every scheduler, including
+/// the per-query one of Scheduler::RunOnCaller, so system.queries /
+/// system.query_log ids never collide across pools).
 uint64_t NextQueryId();
 
 /// Microseconds on the monotonic clock — the time base of the live

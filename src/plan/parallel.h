@@ -1,52 +1,37 @@
-// Morsel-driven parallel plan execution.
+// Plan templates: the unit of work the scheduler executes.
 //
 // A PlanTemplate is the reusable description of a query (query shape +
 // strategy + config); a *plan instance* is one operator tree built from the
-// template by the existing BuildSelectionPlan/BuildAggPlan/BuildJoinPlan
+// template by the BuildSelectionPlan/BuildAggPlan/BuildJoinPlan/BuildSortPlan
 // factories, restricted to one morsel of the position space.
-//
-// ExecuteParallel is a thin submit-and-wait over the sched/ subsystem: it
-// spins up a sched::Scheduler with exactly `config.num_workers` workers,
-// submits the one query, and blocks on its ticket. The scheduler's workers
-// claim morsels, instantiate and drain a plan per morsel, and merge the
-// results:
+// sched::Scheduler runs every query from its template — on a shared pool
+// (Submit) or on the calling thread (RunOnCaller) — claiming morsels,
+// instantiating and draining a plan per morsel, and merging the results:
 //
 //   * counters       — summed (ExecStats::Merge, order-independent)
 //   * checksum       — wrapping addition of per-tuple digests, so the merged
-//                      digest is bit-identical to a serial run's
+//                      digest is the same for every worker count
 //   * output tuples  — buffered per worker and handed to the sink once, at
 //                      finalization, with no lock on the emit path (bag
-//                      semantics: chunk *order* across workers is not
-//                      deterministic)
+//                      semantics across workers; one worker claims morsels
+//                      in order, so its output keeps position order)
 //   * aggregations   — per-morsel partial GroupAccumulators are merged and
-//                      final groups emitted once, exactly as a serial
+//                      final groups emitted once, exactly as a single
 //                      aggregation over the same rows would
-//   * I/O stats      — snapshotted around the whole run from the (atomic)
-//                      buffer-pool counters
+//   * I/O stats      — attributed per (query, worker) and summed
 //
-// num_workers == 1 bypasses all of this and runs the classic serial pull
-// executor over the full position space — bit-identical to the
-// pre-parallel-refactor engine, including chunk order. Joins are two-phase:
-// a BuildPipeline constructs the shared inner-side hash table
-// (JoinBuildTable) behind the scheduler's phase barrier — either as one
-// serial task (small inners, radix_bits = 0) or as N radix partition-scan
-// tasks, a barrier, 1 << radix_bits per-partition build tasks, and a merge
-// — then probe morsels partition the outer side exactly like scan morsels.
-// The scheduler gates probe claims on pipeline completion (see
-// sched::Scheduler's phase dependency); the serial path simply builds the
-// table inside the plan on first pull. Sorts are two-phase the other way
-// round: every morsel forms a sorted run (SortOp with final emit disabled),
-// and the scheduler's finalize k-way merges the runs into globally ordered
-// output.
-//
-// Batch workloads should not call this in a loop: submit every query to one
-// shared sched::Scheduler (see Database::Submit / Engine::SubmitAll) so the
-// queries interleave on one pool instead of each spinning up its own.
+// Joins are two-phase: a BuildPipeline constructs the shared inner-side
+// hash table (JoinBuildTable) behind the scheduler's phase barrier — either
+// as one serial task (small inners, one worker, radix_bits = 0) or as N
+// radix partition-scan tasks, a barrier, 1 << radix_bits per-partition
+// build tasks, and a merge — then probe morsels partition the outer side
+// exactly like scan morsels. Sorts are two-phase the other way round: every
+// morsel forms a sorted run (SortOp with final emit disabled), and the
+// scheduler's finalize k-way merges the runs into globally ordered output.
 
 #ifndef CSTORE_PLAN_PARALLEL_H_
 #define CSTORE_PLAN_PARALLEL_H_
 
-#include <functional>
 #include <memory>
 
 #include "plan/executor.h"
@@ -63,8 +48,8 @@ namespace plan {
 /// *within* a stage run concurrently, and distinct (stage, task) pairs
 /// touch disjoint pipeline state, so RunTask needs no locking. After the
 /// last stage's barrier the scheduler calls Finish() exactly once to merge
-/// and publish the product. The PR-5 "one gated build task" is the
-/// degenerate pipeline: one stage, one task, Finish returns the table.
+/// and publish the product. The serial build is the degenerate pipeline:
+/// one stage, one task, Finish returns the table.
 class BuildPipeline {
  public:
   virtual ~BuildPipeline() = default;
@@ -123,12 +108,6 @@ struct PlanTemplate {
   /// every Instantiate.
   bool NeedsBuildPhase() const { return kind == Kind::kJoin; }
 
-  /// Executes the whole build phase serially (the inner-side hash build),
-  /// recording its work in `stats`. Only valid when NeedsBuildPhase().
-  /// Equivalent to running the serial pipeline's one task + Finish.
-  Result<std::shared_ptr<const exec::JoinBuildTable>> BuildShared(
-      exec::ExecStats* stats) const;
-
   /// Creates the build-phase pipeline for a pool of `pool_workers`, honoring
   /// config.radix_bits (-1 auto / 0 serial / k forced). Only valid when
   /// NeedsBuildPhase(). Infallible: spec errors surface from the pipeline's
@@ -137,25 +116,11 @@ struct PlanTemplate {
 
   /// Builds one plan instance restricted to `morsel` (which must be
   /// kChunkPositions-aligned at its begin, per MorselSource). `shared` is
-  /// the build phase's product for two-phase templates; when null, a join
-  /// instance builds its own table on first pull (the serial path).
+  /// the build phase's product, required for two-phase templates.
   Result<std::unique_ptr<Plan>> Instantiate(
       position::Range morsel,
       const exec::JoinBuildTable* shared = nullptr) const;
 };
-
-/// Runs the templated query with `template.config.num_workers` workers and
-/// fills `stats` with the merged RunStats. `sink` (optional) receives every
-/// output chunk; with multiple workers it is invoked sequentially after the
-/// last morsel completes (per-worker buffers, concatenated in worker order)
-/// and the chunk order is unspecified. For aggregations the sink receives
-/// exactly one chunk: the final merged groups. On error the sink is never
-/// invoked with multiple workers (serial runs may have streamed chunks
-/// before failing).
-Status ExecuteParallel(const PlanTemplate& tmpl, storage::BufferPool* pool,
-                       RunStats* stats,
-                       const std::function<void(const exec::TupleChunk&)>&
-                           sink = nullptr);
 
 }  // namespace plan
 }  // namespace cstore

@@ -380,11 +380,13 @@ Result<std::unique_ptr<Plan>> BuildJoinPlan(const JoinQuery& query,
                                             const PlanConfig& config,
                                             const exec::JoinBuildTable*
                                                 shared) {
-  // Validates the query (and, when the scheduler already built the shared
-  // table, re-derives the spec it was built from — cheap, and it keeps the
-  // serial and pooled paths behind one set of checks).
-  CSTORE_ASSIGN_OR_RETURN(exec::JoinBuildTable::Spec build_spec,
-                          JoinBuildSpec(query, mode, config));
+  if (shared == nullptr) {
+    return Status::InvalidArgument(
+        "join plan needs the build phase's table (run it on a scheduler)");
+  }
+  // Validates the query: re-derives the spec the shared table was built
+  // from — cheap, and it keeps every instance behind one set of checks.
+  CSTORE_RETURN_IF_ERROR(JoinBuildSpec(query, mode, config).status());
 
   // Outer-side write state: the probe stream masks the snapshot's deletes
   // and extends over its write-store tail, exactly like a scan. Tail chunks
@@ -430,12 +432,8 @@ Result<std::unique_ptr<Plan>> BuildJoinPlan(const JoinQuery& query,
     spec.pos_input = stream;
     spec.left_payload = query.left_payload;
   }
-  plan->SetRoot(plan->Own(std::make_unique<exec::JoinProbeOp>(
-      spec, shared,
-      shared != nullptr
-          ? std::nullopt
-          : std::optional<exec::JoinBuildTable::Spec>(std::move(build_spec)),
-      &plan->stats())));
+  plan->SetRoot(plan->Own(
+      std::make_unique<exec::JoinProbeOp>(spec, shared, &plan->stats())));
   return plan;
 }
 

@@ -116,8 +116,8 @@ Result<std::unique_ptr<Plan>> BuildAggPlan(const AggQuery& query,
 /// Validates the join query + config and assembles the build-phase spec:
 /// the inner-side readers, mode, and — when JoinQuery::right_snapshot
 /// carries pending rows or deletes — the snapshot column mapping the build
-/// merges. Shared by the scheduler's explicit build phase and the serial
-/// path's lazy in-plan build.
+/// merges. The scheduler's build phase builds from it; BuildJoinPlan
+/// re-derives it to validate each probe instance.
 Result<exec::JoinBuildTable::Spec> JoinBuildSpec(const JoinQuery& query,
                                                  exec::JoinRightMode mode,
                                                  const PlanConfig& config);
@@ -126,11 +126,12 @@ Result<exec::JoinBuildTable::Spec> JoinBuildSpec(const JoinQuery& query,
 /// representation: the outer stream (DS1 or SPC leaf, delete-masked and
 /// extended over the write-store tail when config.snapshot carries state,
 /// restricted to config.scan_range) feeding a JoinProbeOp. `shared` is the
-/// scheduler-built hash table every probe morsel borrows; null makes the
-/// plan build its own table on first pull (the serial path).
-Result<std::unique_ptr<Plan>> BuildJoinPlan(
-    const JoinQuery& query, exec::JoinRightMode mode,
-    const PlanConfig& config, const exec::JoinBuildTable* shared = nullptr);
+/// build phase's hash table every probe morsel borrows (required: a null
+/// table is InvalidArgument).
+Result<std::unique_ptr<Plan>> BuildJoinPlan(const JoinQuery& query,
+                                            exec::JoinRightMode mode,
+                                            const PlanConfig& config,
+                                            const exec::JoinBuildTable* shared);
 
 /// Builds the sort plan: the selection pipeline (under `strategy`, restricted
 /// to config.scan_range like any scan) feeding a SortOp that orders rows by

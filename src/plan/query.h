@@ -83,18 +83,16 @@ struct PlanConfig {
   // never have to be accessed"). LM plans only.
   bool use_sorted_index = true;
 
-  // --- Morsel-driven parallel execution -----------------------------------
-  // Worker threads used by ExecuteParallel. 1 runs the classic serial pull
-  // loop (bit-identical to the pre-parallel executor). Values > 1 split
-  // the scan — for joins, the outer probe side, behind a serial hash-build
-  // task — into morsels executed by a pool of threads; result *bags*
-  // (output_tuples, checksum, aggregate groups) are identical for every
-  // worker count, but selection chunk order is not.
-  int num_workers = 1;
+  // --- Morsel-driven execution --------------------------------------------
+  // The scheduler splits the scan — for joins, the outer probe side, behind
+  // the hash-build phase — into morsels; its worker count (the pool's, or 1
+  // on the caller) sets the parallelism. Result *bags* (output_tuples,
+  // checksum, aggregate groups) are identical for every worker count, but
+  // selection chunk order across workers is not.
   // Positions per morsel; rounded up to a multiple of kChunkPositions so
-  // worker-local chunk windows coincide with the serial executor's.
+  // every morsel's chunk windows coincide with a full scan's.
   Position morsel_positions = exec::kDefaultMorselPositions;
-  // Scan restriction [begin, end) used internally by the parallel executor
+  // Scan restriction [begin, end) used internally by the scheduler
   // to hand one morsel to one plan instance. `begin` must be
   // kChunkPositions-aligned; the default covers the whole column.
   position::Range scan_range = exec::kFullScanRange;

@@ -140,7 +140,8 @@ struct QueryState {
   // Work distribution. Empty scans are one indivisible task; everything
   // else claims chunk-aligned morsels from the source. Two-phase queries
   // (joins) additionally run their BuildPipeline's staged tasks before any
-  // morsel: the phase dependency below gates morsel claims on build_done.
+  // morsel or single task: the phase dependency below gates those claims on
+  // build_done.
   std::unique_ptr<exec::MorselSource> source;
   bool single_task = false;
   bool single_claimed = false;  // guarded by Scheduler::mu_
@@ -198,7 +199,6 @@ struct QueryState {
   // after every worker completed) recorded into system.query_log.
   uint64_t query_id = 0;
   std::string label;
-  bool record_query_log = true;
   std::shared_ptr<obs::LiveQuery> live;
   uint64_t queue_wait_us = 0;
 
@@ -211,13 +211,13 @@ struct QueryState {
   /// True once no further task will ever be handed out (all morsels
   /// claimed, or cancelled by an error). Caller holds Scheduler::mu_.
   bool DrainedLocked() const {
+    // On failure nothing further is dispatched (claims return kExhausted),
+    // so a failed query drains even though build_done never latches.
+    if (!error.ok()) return true;
+    // A pending (or in-flight) build phase will still release work once it
+    // completes.
+    if (needs_build && !build_done) return false;
     if (single_task) return single_claimed;
-    // A pending (or in-flight) build phase will still release morsels once
-    // it completes. On failure the remaining build tasks are never
-    // dispatched (claims return kExhausted) and the source is cancelled,
-    // so the error.ok() guard lets a failed query drain even though
-    // build_done never latches.
-    if (needs_build && !build_done && error.ok()) return false;
     return source->Exhausted();
   }
 };
@@ -251,6 +251,9 @@ int ResolveWorkers(int requested) {
 
 Scheduler::Scheduler() : Scheduler(Options{}) {}
 
+Scheduler::Scheduler(CallerOnly)
+    : num_workers_(1), dispatch_(DispatchPolicy::kWeightedRoundRobin) {}
+
 Scheduler::Scheduler(Options options)
     : num_workers_(ResolveWorkers(options.num_workers)),
       dispatch_(options.dispatch) {
@@ -277,27 +280,24 @@ Scheduler::~Scheduler() {
   pool_.reset();  // joins; workers drain all remaining queries first
 }
 
-Scheduler* Scheduler::Default() {
-  // Intentionally leaked: worker threads must outlive every static-duration
-  // ticket holder, and there is no safe destruction order at process exit.
-  static Scheduler* shared = new Scheduler(Options{});
-  return shared;
+QueryTicket Scheduler::RunOnCaller(plan::PlanTemplate tmpl,
+                                   storage::BufferPool* pool,
+                                   SubmitOptions options) {
+  Scheduler caller{CallerOnly{}};
+  QueryTicket ticket =
+      caller.Submit(std::move(tmpl), pool, std::move(options));
+  std::unique_lock<std::mutex> lock(caller.mu_);
+  // One worker claims every task in order; the last one finalizes.
+  while (caller.RunNextLocked(/*worker_id=*/0, lock)) {
+  }
+  return ticket;
 }
 
-QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
-                              storage::BufferPool* pool, Sink sink,
-                              int priority) {
-  SubmitOptions options;
-  options.sink = std::move(sink);
-  options.priority = priority;
-  return Submit(tmpl, pool, std::move(options));
-}
-
-QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
+QueryTicket Scheduler::Submit(plan::PlanTemplate tmpl,
                               storage::BufferPool* pool,
                               SubmitOptions options) {
   auto q = std::make_shared<QueryState>();
-  q->tmpl = tmpl;
+  q->tmpl = std::move(tmpl);
   q->pool = pool;
   q->sink = std::move(options.sink);
   q->stream_sink = std::move(options.stream_sink);
@@ -307,9 +307,8 @@ QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
   uint64_t morsels_total = 1;
   const Position total = q->tmpl.TotalPositions();
   if (total == 0) {
-    // Nothing to partition (an empty outer side still probes nothing, and
-    // a single-task join instance builds its own table): one indivisible
-    // task, no build phase.
+    // Nothing to partition: one indivisible task (for a join, an empty
+    // outer side that still probes the built table and emits nothing).
     q->single_task = true;
   } else {
     Position morsel = q->tmpl.config.morsel_positions;
@@ -317,23 +316,21 @@ QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
       morsel = exec::AutoMorselPositions(total, num_workers_);
     }
     q->source = std::make_unique<exec::MorselSource>(total, morsel);
-    q->needs_build = q->tmpl.NeedsBuildPhase();
-    uint64_t build_tasks = 0;
-    if (q->needs_build) {
-      q->pipeline = q->tmpl.MakeBuildPipeline(num_workers_);
-      q->build_stage_tasks = q->pipeline->TasksInStage(0);
-      for (int s = 0; s < q->pipeline->num_stages(); ++s) {
-        build_tasks += static_cast<uint64_t>(q->pipeline->TasksInStage(s));
-      }
+    morsels_total = (total + morsel - 1) / morsel;
+  }
+  q->needs_build = q->tmpl.NeedsBuildPhase();
+  if (q->needs_build) {
+    q->pipeline = q->tmpl.MakeBuildPipeline(num_workers_);
+    q->build_stage_tasks = q->pipeline->TasksInStage(0);
+    for (int s = 0; s < q->pipeline->num_stages(); ++s) {
+      morsels_total += static_cast<uint64_t>(q->pipeline->TasksInStage(s));
     }
-    morsels_total = (total + morsel - 1) / morsel + build_tasks;
   }
   q->timer.Restart();
   q->query_id = obs::NextQueryId();
   q->label = options.label.empty()
                  ? std::string("plan:") + PlanKindName(q->tmpl.kind)
                  : std::move(options.label);
-  q->record_query_log = options.record_query_log;
   q->live = RegisterLive(q->query_id, q->label, q->priority, morsels_total);
   SchedMetrics& m = SchedMetrics::Get();
   m.queries_total->Inc();
@@ -377,21 +374,21 @@ QueryTicket Scheduler::SubmitJob(std::function<Status()> job, int priority) {
 
 Scheduler::Claim Scheduler::ClaimFromLocked(QueryState* q, Task* out) {
   out->build = false;
-  if (q->single_task) {
-    if (q->single_claimed || !q->error.ok()) return Claim::kExhausted;
-    q->single_claimed = true;
-    out->morsel = exec::kFullScanRange;
-  } else if (q->needs_build && !q->build_done) {
+  // A failed query dispatches nothing further.
+  if (!q->error.ok()) return Claim::kExhausted;
+  if (q->needs_build && !q->build_done) {
     // Phase dependency: the pipeline's stage tasks run before any morsel
     // (and the next stage's tasks only after this stage's barrier drops).
-    // A failed query dispatches nothing further.
-    if (!q->error.ok()) return Claim::kExhausted;
     if (q->build_next_task >= q->build_stage_tasks) {
       return Claim::kWaiting;  // stage fully claimed, not yet complete
     }
     out->build = true;
     out->build_stage = q->build_stage;
     out->build_task = q->build_next_task++;
+    out->morsel = exec::kFullScanRange;
+  } else if (q->single_task) {
+    if (q->single_claimed) return Claim::kExhausted;
+    q->single_claimed = true;
     out->morsel = exec::kFullScanRange;
   } else {
     position::Range morsel;
@@ -426,14 +423,13 @@ Scheduler::Claim Scheduler::ClaimFromLocked(QueryState* q, Task* out) {
 
 Scheduler::Claim Scheduler::PeekClaimLocked(
     const internal::QueryState* q) const {
-  if (q->single_task) {
-    return (q->single_claimed || !q->error.ok()) ? Claim::kExhausted
-                                                 : Claim::kClaimed;
-  }
+  if (!q->error.ok()) return Claim::kExhausted;
   if (q->needs_build && !q->build_done) {
-    if (!q->error.ok()) return Claim::kExhausted;
     return q->build_next_task >= q->build_stage_tasks ? Claim::kWaiting
                                                       : Claim::kClaimed;
+  }
+  if (q->single_task) {
+    return q->single_claimed ? Claim::kExhausted : Claim::kClaimed;
   }
   return q->source->Exhausted() ? Claim::kExhausted : Claim::kClaimed;
 }
@@ -541,57 +537,58 @@ bool Scheduler::TryClaimRoundRobinLocked(Task* out) {
 void Scheduler::WorkerLoop(int worker_id) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    Task task;
-    if (TryClaimLocked(&task)) {
-      lock.unlock();
-      RunTask(worker_id, task);
-      bool finalize;
-      lock.lock();
-      QueryState* q = task.query.get();
-      --q->in_flight;
-      if (task.build) {
-        ++q->build_tasks_done;
-        const bool stage_complete =
-            q->build_tasks_done == q->build_stage_tasks;
-        if (stage_complete && q->error.ok()) {
-          if (q->build_stage + 1 < q->pipeline->num_stages()) {
-            // Stage barrier drops: the next stage's tasks are claimable.
-            // Wake the pool — idle workers may be sleeping on an
-            // all-waiting rotation.
-            ++q->build_stage;
-            q->build_next_task = 0;
-            q->build_tasks_done = 0;
-            q->build_stage_tasks = q->pipeline->TasksInStage(q->build_stage);
-            cv_.notify_all();
-          } else {
-            // Last stage's barrier: merge and publish the product off-lock
-            // on this worker (no claims can race — morsels stay gated on
-            // build_done, and the stage has no unclaimed tasks left), then
-            // drop the build barrier for good.
-            lock.unlock();
-            FinishBuild(worker_id, task.query);
-            lock.lock();
-            q->build_done = true;
-            cv_.notify_all();
-          }
-        } else if (stage_complete) {
-          // Failed mid-phase: nothing more dispatches (claims return
-          // kExhausted); wake sleepers so the query is pruned & finalized.
-          cv_.notify_all();
-        }
-      }
-      finalize = !q->finalized && q->in_flight == 0 && q->DrainedLocked();
-      if (finalize) q->finalized = true;
-      if (finalize) {
-        lock.unlock();
-        Finalize(task.query);
-        lock.lock();
-      }
-      continue;
-    }
+    if (RunNextLocked(worker_id, lock)) continue;
     if (shutdown_) return;
     cv_.wait(lock);
   }
+}
+
+bool Scheduler::RunNextLocked(int worker_id,
+                              std::unique_lock<std::mutex>& lock) {
+  Task task;
+  if (!TryClaimLocked(&task)) return false;
+  lock.unlock();
+  RunTask(worker_id, task);
+  lock.lock();
+  QueryState* q = task.query.get();
+  --q->in_flight;
+  if (task.build) {
+    ++q->build_tasks_done;
+    const bool stage_complete = q->build_tasks_done == q->build_stage_tasks;
+    if (stage_complete && q->error.ok()) {
+      if (q->build_stage + 1 < q->pipeline->num_stages()) {
+        // Stage barrier drops: the next stage's tasks are claimable. Wake
+        // the pool — idle workers may be sleeping on an all-waiting
+        // rotation.
+        ++q->build_stage;
+        q->build_next_task = 0;
+        q->build_tasks_done = 0;
+        q->build_stage_tasks = q->pipeline->TasksInStage(q->build_stage);
+        cv_.notify_all();
+      } else {
+        // Last stage's barrier: merge and publish the product off-lock on
+        // this worker (no claims can race — morsels stay gated on
+        // build_done, and the stage has no unclaimed tasks left), then drop
+        // the build barrier for good.
+        lock.unlock();
+        FinishBuild(worker_id, task.query);
+        lock.lock();
+        q->build_done = true;
+        cv_.notify_all();
+      }
+    } else if (stage_complete) {
+      // Failed mid-phase: nothing more dispatches (claims return
+      // kExhausted); wake sleepers so the query is pruned & finalized.
+      cv_.notify_all();
+    }
+  }
+  if (!q->finalized && q->in_flight == 0 && q->DrainedLocked()) {
+    q->finalized = true;
+    lock.unlock();
+    Finalize(task.query);
+    lock.lock();
+  }
+  return true;
 }
 
 void Scheduler::FailQuery(QueryState* q, const Status& status) {
@@ -815,9 +812,10 @@ void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
         static_cast<uint64_t>(result.stats.wall_micros));
   }
   obs::LiveQueryRegistry::Global().Unregister(q->query_id);
-  if (q->record_query_log) {
+  {
     // One row per finished query into the always-on log, carrying exactly
-    // the RunStats this finalize publishes on the ticket.
+    // the RunStats this finalize publishes on the ticket — the only place
+    // the log is written.
     obs::QueryLogEntry e;
     e.query_id = q->query_id;
     e.label = q->label;

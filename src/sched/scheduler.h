@@ -1,15 +1,15 @@
-// Shared-pool query scheduler: many concurrent queries, one worker pool.
+// Query scheduler: the engine's one executor. Every query — on a shared
+// pool or on a caller's thread — runs through the per-query code below:
+// Submit's setup, the claim, RunTask, the template's BuildPipeline and
+// Finalize.
 //
-// PR 1's ExecuteParallel parallelized a single query — N threads drain one
-// query's morsels, then return. Under the north star's heavy-traffic
-// workload that shape serializes *queries*: a mixed batch runs back-to-back
-// even though its selections, aggregations, and joins (each with its own
-// best materialization strategy) could share the machine. The Scheduler
-// fixes that:
-//
-//   * Submit(PlanTemplate) enqueues a query and immediately returns a
-//     QueryTicket — a waitable handle resolving to the query's ExecResult
-//     (Status + RunStats). Many queries can be in flight at once.
+//   * Submit(PlanTemplate) enqueues a query on the pool and immediately
+//     returns a QueryTicket — a waitable handle resolving to the query's
+//     ExecResult (Status + RunStats). Many queries can be in flight at once.
+//   * RunOnCaller(PlanTemplate) drives one query to completion on the
+//     calling thread, as the query's only worker, and returns a finished
+//     ticket. Sessions without a pool run every statement this way, so the
+//     calling thread stays the executor (no hand-off to a worker thread).
 //   * Dispatch is fair at *morsel* granularity: workers claim the next
 //     morsel from the active queries in weighted round-robin order (a query
 //     with priority p takes p consecutive morsels per rotation, default 1),
@@ -20,21 +20,25 @@
 //     are dispatched like morsels (claimed by any worker, concurrently),
 //     a barrier separates consecutive stages, and after the last stage the
 //     finishing worker merges/publishes the product; only then do the
-//     query's probe morsels become runnable. The PR-5 serial build is the
-//     one-stage/one-task special case. Sorts invert the shape: every
-//     morsel forms a sorted run, and finalization k-way merges the runs.
-//     While one query's phase tasks are exhausted-but-incomplete the
-//     rotation simply skips it — other queries' morsels keep the pool
-//     busy, so barriers cost the query latency, never the pool throughput.
-//   * Results merge exactly as in the single-query executor: per-(query,
+//     query's probe morsels (or its single task, for an empty outer side)
+//     become runnable. Sorts invert the shape: every morsel forms a sorted
+//     run, and finalization k-way merges the runs. While one query's phase
+//     tasks are exhausted-but-incomplete the rotation simply skips it —
+//     other queries' morsels keep the pool busy, so barriers cost the query
+//     latency, never the pool throughput.
+//   * Results merge once, when the query's last task completes: per-(query,
 //     worker) partials — checksum, tuple counts, ExecStats, aggregation
-//     accumulators, buffered output chunks — are combined once when the
-//     query's last morsel completes. No lock is taken on the output path
-//     during execution; the sink is invoked sequentially at finalization.
+//     accumulators, buffered output chunks — are combined by Finalize. No
+//     lock is taken on the output path during execution; the sink is
+//     invoked sequentially at finalization.
+//   * Finalize is the one place a query is accounted: the scheduler
+//     metrics, the live registry behind system.queries and the always-on
+//     query log behind system.query_log (workers = the executing width: the
+//     pool's, or 1 on the caller).
 //
 // Correctness contract (tests/sched_test.cc): for every query in a
 // concurrent mixed batch, output_tuples and the order-independent checksum
-// are bit-identical to that query's serial (workers=1) run, and per-query
+// are bit-identical to that query's single-worker run, and per-query
 // ExecStats are not cross-contaminated. RunStats::io is attributed per
 // (query, worker) through the buffer pool's thread-local sink and merged at
 // finalization, so a query's reported I/O is its own even with concurrent
@@ -71,7 +75,7 @@ struct ExecResult {
 /// (they reorder work, never drop or duplicate it); they differ only in
 /// whose morsel runs next:
 ///
-///   kWeightedRoundRobin — the default since PR 2: fair interleaving, a
+///   kWeightedRoundRobin — the default: fair interleaving, a
 ///       query with priority p takes p consecutive morsels per rotation.
 ///   kFifoPriority — strict priority, FIFO within a priority level: the
 ///       oldest submitted query of the highest claimable priority runs to
@@ -160,10 +164,6 @@ class Scheduler {
     // Human-readable identity of the query in system.queries /
     // system.query_log: SQL text for SQL paths, "plan:<kind>" otherwise.
     std::string label;
-    // The standalone execution path runs multi-worker plans on an
-    // ephemeral pool and records its own query-log row (with the caller's
-    // label); it sets this false so the query isn't logged twice.
-    bool record_query_log = true;
   };
 
   Scheduler();  // Options() — hardware-sized pool
@@ -178,16 +178,20 @@ class Scheduler {
 
   /// Enqueues a query for execution on the shared pool. `tmpl.config`'s
   /// morsel size is honoured (auto-sized from the table and pool width when
-  /// left at the default); `tmpl.config.num_workers` is ignored — the pool
-  /// decides parallelism. `priority >= 1` gives the query that many
-  /// consecutive morsel claims per round-robin rotation.
-  QueryTicket Submit(const plan::PlanTemplate& tmpl,
-                     storage::BufferPool* pool, Sink sink = nullptr,
-                     int priority = 1);
+  /// left at the default); the pool decides parallelism.
+  /// `options.priority >= 1` gives the query that many consecutive morsel
+  /// claims per round-robin rotation.
+  QueryTicket Submit(plan::PlanTemplate tmpl, storage::BufferPool* pool,
+                     SubmitOptions options);
 
-  /// As above, with the full option set (streaming sinks, completion hook).
-  QueryTicket Submit(const plan::PlanTemplate& tmpl,
-                     storage::BufferPool* pool, SubmitOptions options);
+  /// Runs the query to completion on the calling thread through the same
+  /// per-query code as Submit, with the caller as its one worker (morsels
+  /// sized for one worker, claimed in order). Returns a finished ticket.
+  /// `options.stream_sink` is invoked on the caller too, so it cannot wait
+  /// for a consumer on the same thread.
+  static QueryTicket RunOnCaller(plan::PlanTemplate tmpl,
+                                 storage::BufferPool* pool,
+                                 SubmitOptions options);
 
   /// Enqueues generic background work (e.g. a TupleMover compaction pass)
   /// as a single indivisible task on the same pool: it interleaves with
@@ -205,12 +209,11 @@ class Scheduler {
   void set_dispatch_policy(DispatchPolicy policy);
   DispatchPolicy dispatch_policy() const;
 
-  /// Process-wide shared instance sized to the hardware (created on first
-  /// use, never destroyed). The default pool for callers that don't manage
-  /// their own scheduler lifetime, e.g. Engine::SubmitAll(nullptr).
-  static Scheduler* Default();
-
  private:
+  /// A one-worker scheduler without threads: RunOnCaller's executor.
+  struct CallerOnly {};
+  explicit Scheduler(CallerOnly);
+
   struct Task {
     std::shared_ptr<internal::QueryState> query;
     position::Range morsel;
@@ -230,6 +233,10 @@ class Scheduler {
   };
 
   void WorkerLoop(int worker_id);
+  /// Claims one task, runs it off-lock as `worker_id` and completes it
+  /// (stage barriers, build publish, finalize). False when nothing was
+  /// claimable. `lock` holds mu_ on entry and on return.
+  bool RunNextLocked(int worker_id, std::unique_lock<std::mutex>& lock);
   /// Claims the next task under the current dispatch policy. Removes
   /// exhausted queries from the rotation; queries waiting on their build
   /// barrier are skipped but stay. Caller holds mu_.
@@ -266,14 +273,14 @@ class Scheduler {
   bool shutdown_ = false;
 
   // Last member: workers start in the constructor's final step and touch
-  // everything above, so the pool must be destroyed (joined) first.
+  // everything above, so the pool must be destroyed (joined) first. Null
+  // for RunOnCaller's threadless scheduler.
   std::unique_ptr<WorkerPool> pool_;
 };
 
 /// Registers the scheduler's metric families (queue depth, latency
-/// histograms, ...) without creating a pool. system.metrics calls this so
-/// the gauges exist — at zero — even in a process that has only run
-/// standalone queries.
+/// histograms, ...) without running a query. system.metrics calls this so
+/// the gauges exist — at zero — even in a process that has run none yet.
 void EnsureSchedMetricsRegistered();
 
 }  // namespace sched

@@ -186,15 +186,33 @@ Result<uint64_t> FileManager::NumBlocks(FileId file) const {
 
 Status FileManager::WriteSidecar(const std::string& name,
                                  const std::vector<char>& bytes) {
-  std::string path = PathFor(name) + ".meta";
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Status::IOError(ErrnoMessage("create " + path));
-  ssize_t n = ::write(fd, bytes.data(), bytes.size());
-  ::close(fd);
-  if (n != static_cast<ssize_t>(bytes.size())) {
-    return Status::IOError(ErrnoMessage("write " + path));
+  // Written whole to a temporary file and renamed over the old sidecar, so
+  // a crash mid-write leaves the previous version readable (rename is
+  // atomic within a directory). Not fsynced: power-loss durability is out
+  // of scope here, as for the column files themselves.
+  const std::string path = PathFor(name) + ".meta";
+  const std::string tmp = path + ".tmp";
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return Status::IOError(ErrnoMessage("create " + tmp));
+  Status st = Status::OK();
+  size_t done = 0;
+  while (done < bytes.size()) {
+    ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      st = Status::IOError(ErrnoMessage("write " + tmp));
+      break;
+    }
+    done += static_cast<size_t>(n);
   }
-  return Status::OK();
+  if (::close(fd) != 0 && st.ok()) {
+    st = Status::IOError(ErrnoMessage("close " + tmp));
+  }
+  if (st.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+    st = Status::IOError(ErrnoMessage("rename " + tmp));
+  }
+  if (!st.ok()) ::unlink(tmp.c_str());
+  return st;
 }
 
 Result<std::vector<char>> FileManager::ReadSidecar(

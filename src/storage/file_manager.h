@@ -60,8 +60,9 @@ class FileManager {
   /// Number of 64 KB blocks in the file.
   Result<uint64_t> NumBlocks(FileId file) const;
 
-  /// Durably writes a small sidecar blob (column metadata) next to a column
-  /// file.
+  /// Writes a small sidecar blob (column metadata, the catalog) next to a
+  /// column file, replacing any previous version atomically: a crash
+  /// mid-write leaves the old sidecar whole. Not fsynced.
   Status WriteSidecar(const std::string& name,
                       const std::vector<char>& bytes);
   Result<std::vector<char>> ReadSidecar(const std::string& name) const;

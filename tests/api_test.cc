@@ -2,14 +2,14 @@
 // PreparedStatement with `?` parameters (including re-execution across a
 // concurrent compaction), RowCursor backpressure and cancellation, the
 // UPDATE statement end to end, the join-side snapshot merge, EXPLAIN with
-// `?` parameters, the non-blocking cursor poll (TryNext), and equivalence
-// with the legacy wrappers (db::Database::Run*, sql::Engine) — which must
-// stay bit-identical to the api:: paths they now delegate to.
+// `?` parameters, the non-blocking cursor poll (TryNext), and the two kinds
+// of session (on a scheduler's pool, or on the calling thread) agreeing.
 
 #include <atomic>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -20,7 +20,6 @@
 #include "db/database.h"
 #include "obs/query_log.h"
 #include "plan/executor.h"
-#include "sql/engine.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -75,13 +74,16 @@ class ApiTest : public ::testing::Test {
   TempDir dir_;
   std::unique_ptr<db::Database> db_;
   std::vector<Value> a_, b_, c_;
+  // Pool for the sessions that stream or run in the background; declared
+  // after db_ so it drains before the database closes.
+  sched::Scheduler scheduler_{sched::Scheduler::Options{2}};
 };
 
 // --- Connection: sync / async / typed equivalence ---------------------------
 
-TEST_F(ApiTest, QueryMatchesEngineExecute) {
+TEST_F(ApiTest, SessionsWithOwnCostModelsAgree) {
   api::Connection conn(db_.get());
-  sql::Engine engine(db_.get());
+  api::Connection other(db_.get());
   const char* statements[] = {
       "SELECT a, b FROM t WHERE a < 100 AND b < 6",
       "SELECT b FROM t WHERE a < 50",
@@ -94,17 +96,17 @@ TEST_F(ApiTest, QueryMatchesEngineExecute) {
     // calibrates its own cost model by timing real loops), but the result
     // bags must be identical regardless.
     ASSERT_OK_AND_ASSIGN(api::QueryResult via_conn, conn.Query(sql));
-    ASSERT_OK_AND_ASSIGN(sql::SqlResult via_engine, engine.Execute(sql));
-    EXPECT_EQ(via_conn.column_names, via_engine.column_names) << sql;
-    EXPECT_EQ(via_conn.tuples.num_tuples(), via_engine.tuples.num_tuples())
+    ASSERT_OK_AND_ASSIGN(api::QueryResult via_other, other.Query(sql));
+    EXPECT_EQ(via_conn.column_names, via_other.column_names) << sql;
+    EXPECT_EQ(via_conn.tuples.num_tuples(), via_other.tuples.num_tuples())
         << sql;
-    EXPECT_EQ(via_conn.stats.checksum, via_engine.stats.checksum) << sql;
+    EXPECT_EQ(via_conn.stats.checksum, via_other.stats.checksum) << sql;
     // With an explicit strategy the two surfaces must agree exactly.
     ASSERT_OK_AND_ASSIGN(
         api::QueryResult c2,
         conn.Query(sql, plan::Strategy::kLmParallel));
-    ASSERT_OK_AND_ASSIGN(sql::SqlResult e2,
-                         engine.Execute(sql, plan::Strategy::kLmParallel));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult e2,
+                         other.Query(sql, plan::Strategy::kLmParallel));
     EXPECT_EQ(c2.strategy, e2.strategy) << sql;
     EXPECT_EQ(c2.stats.checksum, e2.stats.checksum) << sql;
   }
@@ -116,6 +118,8 @@ TEST_F(ApiTest, SubmitMatchesQuery) {
   ASSERT_OK_AND_ASSIGN(api::QueryResult sync, conn.Query(sql));
   api::PendingResult pending = conn.Submit(sql);
   EXPECT_TRUE(pending.valid());
+  // Without a scheduler the statement already ran on this thread.
+  EXPECT_TRUE(pending.Done());
   ASSERT_OK_AND_ASSIGN(api::QueryResult async, pending.Wait());
   EXPECT_EQ(async.tuples.num_tuples(), sync.tuples.num_tuples());
   EXPECT_EQ(async.stats.checksum, sync.stats.checksum);
@@ -134,10 +138,7 @@ TEST_F(ApiTest, SubmitCarriesErrorsInHandle) {
 }
 
 TEST_F(ApiTest, PooledConnectionRunsOnSharedScheduler) {
-  sched::Scheduler::Options so;
-  so.num_workers = 2;
-  sched::Scheduler scheduler(so);
-  api::Connection pooled(db_.get(), &scheduler);
+  api::Connection pooled(db_.get(), &scheduler_);
   api::Connection standalone(db_.get());
   const char* sql = "SELECT a, SUM(b) FROM t GROUP BY a";
   ASSERT_OK_AND_ASSIGN(api::QueryResult p, pooled.Query(sql));
@@ -146,7 +147,7 @@ TEST_F(ApiTest, PooledConnectionRunsOnSharedScheduler) {
   EXPECT_EQ(p.tuples.num_tuples(), s.tuples.num_tuples());
 }
 
-TEST_F(ApiTest, TypedTemplateMatchesLegacyRun) {
+TEST_F(ApiTest, TypedTemplateMatchesSqlQuery) {
   api::Connection conn(db_.get());
   ASSERT_OK_AND_ASSIGN(const codec::ColumnReader* ra, db_->GetColumn("t.a"));
   ASSERT_OK_AND_ASSIGN(const codec::ColumnReader* rb, db_->GetColumn("t.b"));
@@ -156,9 +157,11 @@ TEST_F(ApiTest, TypedTemplateMatchesLegacyRun) {
   for (plan::Strategy s : plan::kAllStrategies) {
     ASSERT_OK_AND_ASSIGN(api::QueryResult via_api,
                          conn.Query(plan::PlanTemplate::Selection(q, s)));
-    ASSERT_OK_AND_ASSIGN(api::QueryResult via_db, db_->RunSelection(q, s));
-    EXPECT_EQ(via_api.stats.checksum, via_db.stats.checksum);
-    EXPECT_EQ(via_api.tuples.num_tuples(), via_db.tuples.num_tuples());
+    ASSERT_OK_AND_ASSIGN(
+        api::QueryResult via_sql,
+        conn.Query("SELECT a, b FROM t WHERE a < 100 AND b < 6", s));
+    EXPECT_EQ(via_api.stats.checksum, via_sql.stats.checksum);
+    EXPECT_EQ(via_api.tuples.num_tuples(), via_sql.tuples.num_tuples());
   }
 }
 
@@ -179,7 +182,7 @@ TEST_F(ApiTest, SessionStrategyOverride) {
 // --- RowCursor --------------------------------------------------------------
 
 TEST_F(ApiTest, StreamDeliversIdenticalBag) {
-  api::Connection conn(db_.get());
+  api::Connection conn(db_.get(), &scheduler_);
   const char* sql = "SELECT a, b FROM t WHERE a < 200 AND b < 7";
   ASSERT_OK_AND_ASSIGN(api::QueryResult sync, conn.Query(sql));
 
@@ -202,7 +205,7 @@ TEST_F(ApiTest, StreamDeliversIdenticalBag) {
 }
 
 TEST_F(ApiTest, StreamFetchAllIsTheCompatibilityPath) {
-  api::Connection conn(db_.get());
+  api::Connection conn(db_.get(), &scheduler_);
   const char* sql = "SELECT b FROM t WHERE a < 50";
   ASSERT_OK_AND_ASSIGN(api::QueryResult sync, conn.Query(sql));
   ASSERT_OK_AND_ASSIGN(api::RowCursor cursor, conn.Stream(sql));
@@ -215,7 +218,7 @@ TEST_F(ApiTest, StreamFetchAllIsTheCompatibilityPath) {
 }
 
 TEST_F(ApiTest, EmptyStreamKeepsOutputWidth) {
-  api::Connection conn(db_.get());
+  api::Connection conn(db_.get(), &scheduler_);
   const char* sql = "SELECT a, b FROM t WHERE a < 0";
   ASSERT_OK_AND_ASSIGN(api::QueryResult sync, conn.Query(sql));
   ASSERT_OK_AND_ASSIGN(api::RowCursor cursor, conn.Stream(sql));
@@ -226,7 +229,7 @@ TEST_F(ApiTest, EmptyStreamKeepsOutputWidth) {
 }
 
 TEST_F(ApiTest, StreamAggregationDeliversMergedGroups) {
-  api::Connection conn(db_.get());
+  api::Connection conn(db_.get(), &scheduler_);
   const char* sql = "SELECT a, SUM(b) FROM t GROUP BY a";
   ASSERT_OK_AND_ASSIGN(api::QueryResult sync, conn.Query(sql));
   ASSERT_OK_AND_ASSIGN(api::RowCursor cursor, conn.Stream(sql));
@@ -235,16 +238,35 @@ TEST_F(ApiTest, StreamAggregationDeliversMergedGroups) {
 }
 
 TEST_F(ApiTest, StreamSurfacesBindErrors) {
-  api::Connection conn(db_.get());
+  api::Connection conn(db_.get(), &scheduler_);
   EXPECT_TRUE(conn.Stream("SELECT ghost FROM t").status().IsNotFound());
   EXPECT_FALSE(conn.Stream("INSERT INTO t VALUES (1, 2, 3)").ok());
+}
+
+TEST_F(ApiTest, StreamNeedsAScheduler) {
+  // A bounded cursor needs a producer apart from its consumer: a session
+  // without a pool refuses to stream, SQL and typed plans alike.
+  api::Connection conn(db_.get());
+  EXPECT_TRUE(conn.Stream("SELECT a FROM t WHERE a < 10")
+                  .status()
+                  .IsInvalidArgument());
+  ASSERT_OK_AND_ASSIGN(const codec::ColumnReader* ra, db_->GetColumn("t.a"));
+  plan::SelectionQuery q;
+  q.columns.push_back({ra, codec::Predicate::LessThan(10)});
+  EXPECT_TRUE(conn.Stream(plan::PlanTemplate::Selection(
+                              q, plan::Strategy::kLmParallel))
+                  .status()
+                  .IsInvalidArgument());
+  ASSERT_OK_AND_ASSIGN(api::PreparedStatement prepared,
+                       conn.Prepare("SELECT a FROM t WHERE a < ?"));
+  EXPECT_TRUE(prepared.Stream({10}).status().IsInvalidArgument());
 }
 
 TEST_F(ApiTest, StreamBackpressureBoundsMemory) {
   const size_t n = MakeBigTable();
   api::Connection::Settings settings;
   settings.stream_queue_chunks = 2;
-  api::Connection conn(db_.get(), nullptr, settings);
+  api::Connection conn(db_.get(), &scheduler_, settings);
   ASSERT_OK_AND_ASSIGN(api::RowCursor cursor,
                        conn.Stream("SELECT x FROM big"));
   uint64_t rows = 0;
@@ -265,7 +287,7 @@ TEST_F(ApiTest, DroppedCursorCancelsQuery) {
   MakeBigTable();
   api::Connection::Settings settings;
   settings.stream_queue_chunks = 1;  // the producer WILL block
-  api::Connection conn(db_.get(), nullptr, settings);
+  api::Connection conn(db_.get(), &scheduler_, settings);
   {
     ASSERT_OK_AND_ASSIGN(api::RowCursor cursor,
                          conn.Stream("SELECT x FROM big"));
@@ -288,7 +310,7 @@ TEST_F(ApiTest, DroppedCursorUnregistersAndLogsCancelled) {
   const char* sql = "SELECT x FROM big WHERE x < 999";
   api::Connection::Settings settings;
   settings.stream_queue_chunks = 1;
-  api::Connection conn(db_.get(), nullptr, settings);
+  api::Connection conn(db_.get(), &scheduler_, settings);
   {
     ASSERT_OK_AND_ASSIGN(api::RowCursor cursor, conn.Stream(sql));
     exec::TupleChunk chunk;
@@ -319,7 +341,7 @@ TEST_F(ApiTest, DroppedCursorUnregistersAndLogsCancelled) {
 
 TEST_F(ApiTest, PreparedMatchesUnpreparedAcrossParams) {
   api::Connection conn(db_.get());
-  sql::Engine engine(db_.get());
+  api::Connection unprepared(db_.get());
   ASSERT_OK_AND_ASSIGN(
       api::PreparedStatement prepared,
       conn.Prepare("SELECT a, b FROM t WHERE a < ? AND b < ?"));
@@ -333,7 +355,7 @@ TEST_F(ApiTest, PreparedMatchesUnpreparedAcrossParams) {
       std::string sql = "SELECT a, b FROM t WHERE a < " +
                         std::to_string(alim) + " AND b < " +
                         std::to_string(blim);
-      ASSERT_OK_AND_ASSIGN(sql::SqlResult u, engine.Execute(sql));
+      ASSERT_OK_AND_ASSIGN(api::QueryResult u, unprepared.Query(sql));
       EXPECT_EQ(p.tuples.num_tuples(), u.tuples.num_tuples()) << sql;
       EXPECT_EQ(p.stats.checksum, u.stats.checksum) << sql;
       EXPECT_EQ(p.tuples.num_tuples(), CountRef(alim, blim)) << sql;
@@ -389,7 +411,7 @@ TEST_F(ApiTest, PreparedSeesWritesBetweenExecutions) {
 }
 
 TEST_F(ApiTest, PreparedSubmitAndStream) {
-  api::Connection conn(db_.get());
+  api::Connection conn(db_.get(), &scheduler_);
   ASSERT_OK_AND_ASSIGN(
       api::PreparedStatement prepared,
       conn.Prepare("SELECT a, b FROM t WHERE a < ? AND b < ?"));
@@ -419,15 +441,16 @@ TEST_F(ApiTest, PreparedAcrossConcurrentCompaction) {
                        db_->DeleteWhere("t", {{"b", codec::Predicate::Equal(3)}}));
   ASSERT_GT(deleted, 0u);
 
-  // Ground truth from a quiesced serial run.
-  sql::Engine engine(db_.get());
+  // Ground truth from a quiesced run on this thread.
+  api::Connection serial(db_.get());
   const char* sql_form = "SELECT a, b FROM t WHERE a < 250 AND b < 5";
-  ASSERT_OK_AND_ASSIGN(sql::SqlResult truth, engine.Execute(sql_form));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult truth, serial.Query(sql_form));
 
   for (int workers : kWorkerCounts) {
-    api::Connection::Settings settings;
-    settings.num_workers = workers;
-    api::Connection conn(db_.get(), nullptr, settings);
+    // One worker: this thread; more: a pool of that width.
+    std::optional<sched::Scheduler> pool;
+    if (workers > 1) pool.emplace(sched::Scheduler::Options{workers});
+    api::Connection conn(db_.get(), pool ? &*pool : nullptr);
     ASSERT_OK_AND_ASSIGN(
         api::PreparedStatement prepared,
         conn.Prepare("SELECT a, b FROM t WHERE a < ? AND b < ?"));
@@ -637,9 +660,10 @@ TEST_F(ApiTest, JoinMergesInnerSnapshotWithPendingWrites) {
 
   // Empty snapshot: bit-identical to no snapshot at all.
   ASSERT_OK_AND_ASSIGN(join.right_snapshot, db_->SnapshotTable("customer"));
-  ASSERT_OK_AND_ASSIGN(
-      api::QueryResult clean,
-      db_->RunJoin(join, exec::JoinRightMode::kMaterialized));
+  api::Connection conn(db_.get());
+  ASSERT_OK_AND_ASSIGN(api::QueryResult clean,
+                       conn.Query(plan::PlanTemplate::Join(
+                           join, exec::JoinRightMode::kMaterialized)));
   EXPECT_EQ(clean.tuples.num_tuples(), o_cust.size());
 
   // UPDATE moves customer 5's row to the write-store tail (old position
@@ -658,7 +682,8 @@ TEST_F(ApiTest, JoinMergesInnerSnapshotWithPendingWrites) {
   for (exec::JoinRightMode mode :
        {exec::JoinRightMode::kMaterialized, exec::JoinRightMode::kMultiColumn,
         exec::JoinRightMode::kSingleColumn}) {
-    ASSERT_OK_AND_ASSIGN(api::QueryResult r, db_->RunJoin(join, mode));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult r,
+                         conn.Query(plan::PlanTemplate::Join(join, mode)));
     // One order row (custkey 4) lost its match; key 5 now maps to 99.
     EXPECT_EQ(r.tuples.num_tuples(), o_cust.size() - 1)
         << JoinRightModeName(mode);
@@ -671,20 +696,20 @@ TEST_F(ApiTest, JoinMergesInnerSnapshotWithPendingWrites) {
     EXPECT_EQ(seen[100], 10) << JoinRightModeName(mode);
   }
 
-  // The scheduler path (build barrier + probe morsels) agrees.
-  api::Connection conn(db_.get());
+  // The pool (build barrier + concurrent probe morsels) agrees.
+  api::Connection pooled(db_.get(), &scheduler_);
   ASSERT_OK_AND_ASSIGN(
       api::QueryResult via_submit,
-      conn.Submit(plan::PlanTemplate::Join(
-                      join, exec::JoinRightMode::kMaterialized, {}))
+      pooled.Submit(plan::PlanTemplate::Join(
+                        join, exec::JoinRightMode::kMaterialized, {}))
           .Wait());
   EXPECT_EQ(via_submit.tuples.num_tuples(), o_cust.size() - 1);
 
   // Without the snapshot the build still reads the read store alone.
   join.right_snapshot.reset();
   ASSERT_OK_AND_ASSIGN(api::QueryResult stale,
-                       db_->RunJoin(join,
-                                    exec::JoinRightMode::kMaterialized));
+                       conn.Query(plan::PlanTemplate::Join(
+                           join, exec::JoinRightMode::kMaterialized)));
   EXPECT_EQ(stale.tuples.num_tuples(), o_cust.size());
 }
 
@@ -719,7 +744,7 @@ TEST_F(ApiTest, ExplainAcceptsParameters) {
 
 TEST_F(ApiTest, TryNextDrainsWithoutBlocking) {
   const size_t n = MakeBigTable();
-  api::Connection conn(db_.get());
+  api::Connection conn(db_.get(), &scheduler_);
   ASSERT_OK_AND_ASSIGN(api::RowCursor cursor,
                        conn.Stream("SELECT x FROM big WHERE x < 900"));
   uint64_t rows = 0;
@@ -745,7 +770,7 @@ TEST_F(ApiTest, TryNextDrainsWithoutBlocking) {
 }
 
 TEST_F(ApiTest, TryNextSurfacesQueryError) {
-  api::Connection conn(db_.get());
+  api::Connection conn(db_.get(), &scheduler_);
   // A query that fails at execution: LM-pipelined position-filtering over a
   // bit-vector column is unsupported, and the failure surfaces mid-run.
   std::vector<Value> bv = testing::RunnyValues(80000, 3, 2.0, 9);

@@ -110,7 +110,8 @@ TEST_F(JoinTest, AllModesMatchNaiveJoin) {
     t.query.left_pred = Predicate::LessThan(x);
     auto expected = NaiveJoin(t, x);
     for (JoinRightMode mode : kAllModes) {
-      auto result = db_->RunJoin(t.query, mode);
+      auto result = testing::RunTemplate(
+          db_.get(), plan::PlanTemplate::Join(t.query, mode));
       ASSERT_TRUE(result.ok())
           << JoinRightModeName(mode) << ": " << result.status().ToString();
       std::multiset<std::pair<Value, Value>> got;
@@ -130,7 +131,8 @@ TEST_F(JoinTest, ModesAgreeOnChecksum) {
   uint64_t checksum = 0;
   bool first = true;
   for (JoinRightMode mode : kAllModes) {
-    auto result = db_->RunJoin(t.query, mode);
+    auto result = testing::RunTemplate(
+        db_.get(), plan::PlanTemplate::Join(t.query, mode));
     ASSERT_TRUE(result.ok());
     if (first) {
       checksum = result->stats.checksum;
@@ -144,8 +146,12 @@ TEST_F(JoinTest, ModesAgreeOnChecksum) {
 TEST_F(JoinTest, MaterializedConstructsInnerTuplesAtBuild) {
   Tables t = MakeTables(50000, 5000, 3);
   t.query.left_pred = Predicate::LessThan(1);  // empty probe result
-  auto mat = db_->RunJoin(t.query, JoinRightMode::kMaterialized);
-  auto sc = db_->RunJoin(t.query, JoinRightMode::kSingleColumn);
+  auto mat = testing::RunTemplate(
+      db_.get(),
+      plan::PlanTemplate::Join(t.query, JoinRightMode::kMaterialized));
+  auto sc = testing::RunTemplate(
+      db_.get(),
+      plan::PlanTemplate::Join(t.query, JoinRightMode::kSingleColumn));
   ASSERT_TRUE(mat.ok() && sc.ok());
   // Even with no output, the materialized mode built all inner tuples.
   EXPECT_GE(mat->stats.exec.tuples_constructed, 5000u);
@@ -165,7 +171,8 @@ TEST_F(JoinTest, DanglingForeignKeysDropped) {
   q.right_payload = Load("dq", Encoding::kUncompressed, rp);
   q.left_pred = Predicate::True();
   for (JoinRightMode mode : kAllModes) {
-    auto result = db_->RunJoin(q, mode);
+    auto result = testing::RunTemplate(
+        db_.get(), plan::PlanTemplate::Join(q, mode));
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->tuples.num_tuples(), 3u) << JoinRightModeName(mode);
     EXPECT_EQ(result->tuples.value(0, 0), 10);
@@ -202,7 +209,8 @@ TEST_F(JoinTest, RleLeftPayloadWorks) {
     if (lk[i] < 2000) expected.emplace(lp[i], rp[lk[i] - 1]);
   }
   for (JoinRightMode mode : kAllModes) {
-    auto result = db_->RunJoin(q, mode);
+    auto result = testing::RunTemplate(
+        db_.get(), plan::PlanTemplate::Join(q, mode));
     ASSERT_TRUE(result.ok());
     std::multiset<std::pair<Value, Value>> got;
     for (size_t i = 0; i < result->tuples.num_tuples(); ++i) {
@@ -220,7 +228,8 @@ TEST_F(JoinTest, EarlyLeftModeAgreesWithLate) {
     for (JoinRightMode mode : kAllModes) {
       plan::JoinQuery early = t.query;
       early.left_mode = exec::JoinLeftMode::kEarly;
-      auto result = db_->RunJoin(early, mode);
+      auto result = testing::RunTemplate(
+          db_.get(), plan::PlanTemplate::Join(early, mode));
       ASSERT_TRUE(result.ok())
           << JoinRightModeName(mode) << ": " << result.status().ToString();
       std::multiset<std::pair<Value, Value>> got;
@@ -242,8 +251,10 @@ TEST_F(JoinTest, EarlyLeftScansEverythingLateSkips) {
   plan::JoinQuery late = t.query;
   plan::JoinQuery early = t.query;
   early.left_mode = exec::JoinLeftMode::kEarly;
-  auto late_r = db_->RunJoin(late, JoinRightMode::kMaterialized);
-  auto early_r = db_->RunJoin(early, JoinRightMode::kMaterialized);
+  auto late_r = testing::RunTemplate(
+      db_.get(), plan::PlanTemplate::Join(late, JoinRightMode::kMaterialized));
+  auto early_r = testing::RunTemplate(
+      db_.get(), plan::PlanTemplate::Join(early, JoinRightMode::kMaterialized));
   ASSERT_TRUE(late_r.ok() && early_r.ok());
   EXPECT_EQ(late_r->stats.output_tuples, early_r->stats.output_tuples);
   // Early scans both outer columns fully; late never touches the payload.
@@ -258,9 +269,8 @@ constexpr exec::JoinLeftMode kLeftModes[] = {exec::JoinLeftMode::kLate,
                                              exec::JoinLeftMode::kEarly};
 
 /// One-window morsels so 2/4 workers genuinely partition the probe.
-plan::PlanConfig JoinWorkerConfig(int workers) {
+plan::PlanConfig JoinWorkerConfig() {
   plan::PlanConfig config;
-  config.num_workers = workers;
   config.morsel_positions = kChunkPositions;
   return config;
 }
@@ -278,7 +288,9 @@ TEST_F(JoinTest, ParallelJoinBitIdenticalAcrossWorkers) {
       uint64_t serial_checksum = 0;
       uint64_t serial_tuples = 0;
       for (int workers : kWorkerCounts) {
-        auto r = db_->RunJoin(q, mode, JoinWorkerConfig(workers));
+        auto r = testing::RunTemplate(
+            db_.get(), plan::PlanTemplate::Join(q, mode, JoinWorkerConfig()),
+            workers);
         ASSERT_TRUE(r.ok()) << JoinRightModeName(mode) << " workers="
                             << workers << ": " << r.status().ToString();
         if (workers == 1) {
@@ -306,15 +318,18 @@ TEST_F(JoinTest, RadixBuildBitIdenticalToSerial) {
   Tables t = MakeTables(260000, 150000, 41);
   t.query.left_pred = Predicate::LessThan(70000);
   for (JoinRightMode mode : kAllModes) {
-    plan::PlanConfig serial_config = JoinWorkerConfig(1);
+    plan::PlanConfig serial_config = JoinWorkerConfig();
     serial_config.radix_bits = 0;
-    auto serial = db_->RunJoin(t.query, mode, serial_config);
+    auto serial = testing::RunTemplate(
+        db_.get(), plan::PlanTemplate::Join(t.query, mode, serial_config));
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     for (int bits : {-1, 0, 2, 4}) {
       for (int workers : kWorkerCounts) {
-        plan::PlanConfig config = JoinWorkerConfig(workers);
+        plan::PlanConfig config = JoinWorkerConfig();
         config.radix_bits = bits;
-        auto r = db_->RunJoin(t.query, mode, config);
+        auto r = testing::RunTemplate(
+            db_.get(), plan::PlanTemplate::Join(t.query, mode, config),
+            workers);
         ASSERT_TRUE(r.ok())
             << JoinRightModeName(mode) << " bits=" << bits
             << " workers=" << workers << ": " << r.status().ToString();
@@ -339,7 +354,8 @@ TEST_F(JoinTest, PooledSchedulerJoinMatchesSerial) {
 
   std::vector<uint64_t> serial_sums;
   for (JoinRightMode mode : kAllModes) {
-    auto r = db_->RunJoin(t.query, mode);
+    auto r = testing::RunTemplate(
+        db_.get(), plan::PlanTemplate::Join(t.query, mode));
     ASSERT_TRUE(r.ok());
     serial_sums.push_back(r->stats.checksum);
   }
@@ -351,9 +367,9 @@ TEST_F(JoinTest, PooledSchedulerJoinMatchesSerial) {
   std::vector<api::PendingResult> pending;
   for (JoinRightMode mode : kAllModes) {
     pending.push_back(conn.Submit(
-        plan::PlanTemplate::Join(t.query, mode, JoinWorkerConfig(4))));
+        plan::PlanTemplate::Join(t.query, mode, JoinWorkerConfig())));
     pending.push_back(conn.Submit(plan::PlanTemplate::Selection(
-        sel, plan::Strategy::kLmParallel, JoinWorkerConfig(4))));
+        sel, plan::Strategy::kLmParallel, JoinWorkerConfig())));
   }
   for (size_t i = 0; i < pending.size(); ++i) {
     auto r = pending[i].Wait();
@@ -516,9 +532,10 @@ TEST_F(JoinWriteTest, JoinUnderWritesMatchesBruteForce) {
         q.left_mode = lm;
         uint64_t serial_checksum = 0;
         for (int workers : kWorkerCounts) {
-          plan::PlanConfig config = JoinWorkerConfig(workers);
+          plan::PlanConfig config = JoinWorkerConfig();
           config.snapshot = orders_snap;
-          auto r = db_->RunJoin(q, mode, config);
+          auto r = testing::RunTemplate(
+              db_.get(), plan::PlanTemplate::Join(q, mode, config), workers);
           ASSERT_TRUE(r.ok())
               << JoinRightModeName(mode) << " workers=" << workers << ": "
               << r.status().ToString();
@@ -551,11 +568,14 @@ TEST_F(JoinWriteTest, JoinUnderWritesMatchesBruteForce) {
                                          Value{888}}}));
     q.left_pred = Predicate::LessThan(static_cast<Value>(n_cust + 500));
     q.left_mode = exec::JoinLeftMode::kLate;
-    plan::PlanConfig config = JoinWorkerConfig(2);
+    plan::PlanConfig config = JoinWorkerConfig();
     config.snapshot = orders_snap;  // captured before the two inserts
-    ASSERT_OK_AND_ASSIGN(auto r,
-                         db_->RunJoin(q, JoinRightMode::kMaterialized,
-                                      config));
+    ASSERT_OK_AND_ASSIGN(
+        auto r, testing::RunTemplate(
+                    db_.get(),
+                    plan::PlanTemplate::Join(q, JoinRightMode::kMaterialized,
+                                             config),
+                    2));
     auto expected =
         RefJoin(orders, customer, static_cast<Value>(n_cust + 500));
     EXPECT_EQ(r.stats.output_tuples, expected.size());
@@ -618,18 +638,24 @@ TEST_F(JoinWriteTest, RadixBuildUnderWritesMatchesSerial) {
   ASSERT_GT(expected.size(), 0u);
 
   for (JoinRightMode mode : kAllModes) {
-    plan::PlanConfig serial_config = JoinWorkerConfig(1);
+    plan::PlanConfig serial_config = JoinWorkerConfig();
     serial_config.snapshot = orders_snap;
     serial_config.radix_bits = 0;
-    ASSERT_OK_AND_ASSIGN(auto serial, db_->RunJoin(q, mode, serial_config));
+    ASSERT_OK_AND_ASSIGN(
+        auto serial,
+        testing::RunTemplate(db_.get(),
+                             plan::PlanTemplate::Join(q, mode, serial_config)));
     EXPECT_EQ(serial.stats.output_tuples, expected.size())
         << JoinRightModeName(mode);
     for (int bits : {2, 4}) {
       for (int workers : {2, 4}) {
-        plan::PlanConfig config = JoinWorkerConfig(workers);
+        plan::PlanConfig config = JoinWorkerConfig();
         config.snapshot = orders_snap;
         config.radix_bits = bits;
-        ASSERT_OK_AND_ASSIGN(auto r, db_->RunJoin(q, mode, config));
+        ASSERT_OK_AND_ASSIGN(
+            auto r,
+            testing::RunTemplate(
+                db_.get(), plan::PlanTemplate::Join(q, mode, config), workers));
         EXPECT_EQ(r.stats.checksum, serial.stats.checksum)
             << JoinRightModeName(mode) << " bits=" << bits
             << " workers=" << workers;
@@ -646,8 +672,11 @@ TEST_F(JoinWriteTest, EmptySnapshotsKeepJoinIdentical) {
   // pre-write-path plan.
   Tables t = MakeTables(100000, 4000, 37);
   t.query.left_pred = Predicate::LessThan(2000);
-  ASSERT_OK_AND_ASSIGN(auto baseline, db_->RunJoin(t.query,
-                                                   JoinRightMode::kMaterialized));
+  ASSERT_OK_AND_ASSIGN(
+      auto baseline,
+      testing::RunTemplate(db_.get(),
+                           plan::PlanTemplate::Join(
+                               t.query, JoinRightMode::kMaterialized)));
   MakeWritableTable("jw_empty", {1, 2, 3}, {4, 5, 6});
   ASSERT_OK_AND_ASSIGN(auto snap, db_->SnapshotTable("jw_empty"));
   // An empty snapshot of an unrelated table attaches harmlessly on the
@@ -655,21 +684,58 @@ TEST_F(JoinWriteTest, EmptySnapshotsKeepJoinIdentical) {
   plan::JoinQuery q = t.query;
   q.right_snapshot = snap;
   ASSERT_OK_AND_ASSIGN(auto with_snap,
-                       db_->RunJoin(q, JoinRightMode::kMaterialized));
+                       testing::RunTemplate(
+                           db_.get(),
+                           plan::PlanTemplate::Join(
+                               q, JoinRightMode::kMaterialized)));
   EXPECT_EQ(with_snap.stats.checksum, baseline.stats.checksum);
   EXPECT_EQ(with_snap.stats.output_tuples, baseline.stats.output_tuples);
 }
 
+TEST_F(JoinTest, EmptyOuterStillRunsTheBuildPhase) {
+  // An empty outer side is one indivisible task, but it too probes a table
+  // from the build pipeline: the join emits nothing, and the inner rows
+  // the build constructed are counted, on a pool and on the caller alike.
+  Tables t = MakeTables(0, 500, 29);
+  sched::Scheduler scheduler({2});
+  api::Connection pooled(db_.get(), &scheduler);
+  api::Connection caller(db_.get());
+  for (api::Connection* conn : {&pooled, &caller}) {
+    for (JoinRightMode mode : kAllModes) {
+      ASSERT_OK_AND_ASSIGN(api::QueryResult r,
+                           conn->Query(plan::PlanTemplate::Join(t.query, mode)));
+      EXPECT_EQ(r.stats.output_tuples, 0u) << JoinRightModeName(mode);
+      if (mode == JoinRightMode::kMaterialized) {
+        EXPECT_EQ(r.stats.exec.tuples_constructed, t.right_key.size());
+      }
+    }
+  }
+}
+
 TEST_F(JoinTest, InvalidQueriesRejected) {
   plan::JoinQuery q;  // all null
+  EXPECT_FALSE(plan::JoinBuildSpec(q, JoinRightMode::kMaterialized, {}).ok());
   EXPECT_FALSE(
-      plan::BuildJoinPlan(q, JoinRightMode::kMaterialized, {}).ok());
+      testing::RunTemplate(
+          db_.get(), plan::PlanTemplate::Join(q, JoinRightMode::kMaterialized))
+          .ok());
 
   Tables t = MakeTables(1000, 100, 7);
   plan::JoinQuery bad = t.query;
   bad.left_payload = Load("short", Encoding::kUncompressed, {1, 2, 3});
   EXPECT_FALSE(
-      plan::BuildJoinPlan(bad, JoinRightMode::kMaterialized, {}).ok());
+      plan::JoinBuildSpec(bad, JoinRightMode::kMaterialized, {}).ok());
+  EXPECT_FALSE(
+      testing::RunTemplate(db_.get(),
+                           plan::PlanTemplate::Join(
+                               bad, JoinRightMode::kMaterialized))
+          .ok());
+
+  // A valid query still needs the build phase's table to instantiate.
+  EXPECT_TRUE(plan::BuildJoinPlan(t.query, JoinRightMode::kMaterialized, {},
+                                  /*shared=*/nullptr)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -280,16 +281,17 @@ TEST_F(ObsTest, SpansCompleteAndStrictlyNestedUnderMixedBatch) {
 }
 
 TEST_F(ObsTest, DisabledAndEnabledTracingProduceIdenticalResults) {
-  api::Connection conn(db_);
+  sched::Scheduler scheduler({2});
+  api::Connection conn(db_, &scheduler);
   const std::string sql =
       "SELECT shipdate, SUM(quantity) FROM lineitem "
       "WHERE shipdate < '1995-06-01' GROUP BY shipdate";
 
   obs::TraceRecorder& rec = obs::TraceRecorder::Global();
   rec.set_enabled(false);
-  ASSERT_OK_AND_ASSIGN(api::QueryResult off, conn.Query(sql, {}, 2));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult off, conn.Query(sql));
   rec.set_enabled(true);
-  ASSERT_OK_AND_ASSIGN(api::QueryResult on, conn.Query(sql, {}, 2));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult on, conn.Query(sql));
   rec.set_enabled(false);
   rec.Clear();
 
@@ -306,12 +308,13 @@ TEST_F(ObsTest, DisabledAndEnabledTracingProduceIdenticalResults) {
 TEST_F(ObsTest, PlanProfileActualsMatchRunStats) {
   auto profile = std::make_shared<obs::PlanProfile>();
   plan::PlanConfig config;
-  config.num_workers = 2;
   config.profile = profile;
   plan::PlanTemplate tmpl = plan::PlanTemplate::Selection(
       Selection(), Strategy::kLmParallel, config);
-  plan::RunStats stats;
-  ASSERT_OK(plan::ExecuteParallel(tmpl, db_->pool(), &stats));
+  sched::Scheduler scheduler({2});
+  api::Connection conn(db_, &scheduler);
+  ASSERT_OK_AND_ASSIGN(api::QueryResult r, conn.Query(tmpl));
+  const plan::RunStats& stats = r.stats;
   ASSERT_GT(stats.output_tuples, 0u);
 
   auto rows = profile->rows();
@@ -555,18 +558,72 @@ TEST_F(ObsTest, QueryLogRowMatchesRunStats) {
   EXPECT_GT(e.query_id, 0u);
 }
 
+/// cstore_sched_queries_total, read without registering it; -1 while no
+/// query has registered the scheduler's metrics.
+double SchedQueriesTotal() {
+  for (const auto& sample : obs::MetricsRegistry::Global().Samples()) {
+    if (sample.name == "cstore_sched_queries_total") return sample.value;
+  }
+  return -1;
+}
+
+TEST_F(ObsTest, EveryStatementIsCountedAndLoggedOnce) {
+  // Finalize is the one writer: each statement adds exactly one query-log
+  // row and one to the scheduler's query counter, whichever entry point
+  // ran it and whether a pool or the calling thread executed it.
+  obs::QueryLog& log = obs::QueryLog::Global();
+  sched::Scheduler scheduler({3});
+  api::Connection caller(db_);
+  api::Connection pooled(db_, &scheduler);
+  pooled.ShareCostCache(caller);
+  const std::string sql =
+      "SELECT shipdate, quantity FROM lineitem WHERE quantity < 20";
+  const plan::PlanTemplate tmpl =
+      plan::PlanTemplate::Selection(Selection(), Strategy::kLmParallel);
+  for (api::Connection* conn : {&caller, &pooled}) {
+    const int workers = conn == &caller ? 1 : 3;
+    ASSERT_OK_AND_ASSIGN(api::PreparedStatement prepared,
+                         conn->Prepare("SELECT quantity FROM lineitem WHERE "
+                                       "quantity < ?"));
+    std::vector<std::pair<std::string, std::function<Status()>>> entries = {
+        {"Query", [&] { return conn->Query(sql).status(); }},
+        {"Submit", [&] { return conn->Submit(sql).Wait().status(); }},
+        {"Execute", [&] { return prepared.Execute({20}).status(); }},
+        {"Query(PlanTemplate)", [&] { return conn->Query(tmpl).status(); }},
+    };
+    if (conn == &pooled) {
+      entries.push_back({"Stream", [&]() -> Status {
+                           CSTORE_ASSIGN_OR_RETURN(api::RowCursor cursor,
+                                                   conn->Stream(sql));
+                           return cursor.FetchAll().status();
+                         }});
+    }
+    for (const auto& [entry, run] : entries) {
+      log.Clear();
+      const double before = std::max(0.0, SchedQueriesTotal());
+      ASSERT_OK(run());
+      EXPECT_EQ(SchedQueriesTotal(), before + 1)
+          << entry << " workers=" << workers;
+      const std::vector<obs::QueryLogEntry> rows = log.Snapshot();
+      ASSERT_EQ(rows.size(), 1u) << entry << " workers=" << workers;
+      EXPECT_EQ(rows[0].workers, workers) << entry;
+      EXPECT_EQ(rows[0].status, "ok") << entry;
+    }
+  }
+}
+
 TEST_F(ObsTest, QueryLogRecordsSqlTextAndStandalonePath) {
   obs::QueryLog& log = obs::QueryLog::Global();
   log.Clear();
-  api::Connection conn(db_);  // standalone: no scheduler
+  api::Connection conn(db_);  // no scheduler: this thread runs the query
   const std::string sql =
       "SELECT shipdate FROM lineitem WHERE shipdate < '1995-01-01'";
-  ASSERT_OK_AND_ASSIGN(api::QueryResult r, conn.Query(sql, {}, 2));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult r, conn.Query(sql));
   std::vector<obs::QueryLogEntry> entries = log.Snapshot();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].label, sql);
   EXPECT_EQ(entries[0].status, "ok");
-  EXPECT_EQ(entries[0].queue_wait_usec, 0u);  // no queue on this path
+  EXPECT_EQ(entries[0].workers, 1);
   EXPECT_EQ(entries[0].rows_out, r.stats.output_tuples);
 }
 
@@ -664,7 +721,7 @@ TEST_F(ObsTest, SystemQueriesTablesPoolsAndLogCrossCheck) {
   obs::QueryLog::Global().Clear();
   const std::string marked =
       "SELECT quantity FROM lineitem WHERE quantity < 10";
-  ASSERT_OK_AND_ASSIGN(api::QueryResult marked_r, conn.Query(marked, {}, 1));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult marked_r, conn.Query(marked));
   ASSERT_OK_AND_ASSIGN(
       api::QueryResult logged,
       conn.Query("SELECT label, rows_out, status FROM system.query_log"));

@@ -2,9 +2,9 @@
 //
 // The contract under test: for every materialization strategy, a query's
 // result *bag* — output_tuples and the order-independent checksum — is
-// bit-identical across num_workers ∈ {1, 2, 4}, and the num_workers=1 path
-// is the classic serial pull executor (identical to running the plan
-// directly, including tuple order).
+// bit-identical across 1, 2 and 4 workers, and a single worker — the
+// calling thread, or a one-worker pool — emits exactly what pulling the
+// full-range plan directly does, tuple order included.
 
 #include <atomic>
 #include <thread>
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/connection.h"
 #include "db/database.h"
 #include "exec/morsel_source.h"
 #include "plan/executor.h"
@@ -59,11 +60,43 @@ class ParallelTest : public ::testing::Test {
   }
 
   /// One-window-per-morsel config so 4 workers actually run concurrently.
-  static plan::PlanConfig WorkerConfig(int workers) {
+  static plan::PlanConfig MorselConfig() {
     plan::PlanConfig config;
-    config.num_workers = workers;
     config.morsel_positions = kChunkPositions;
     return config;
+  }
+
+  /// Every output row — position, then each value — in emission order.
+  static void AppendRows(const exec::TupleChunk& chunk,
+                         std::vector<std::vector<Value>>* rows) {
+    for (size_t i = 0; i < chunk.num_tuples(); ++i) {
+      std::vector<Value> row = {static_cast<Value>(chunk.position(i))};
+      for (uint32_t c = 0; c < chunk.width(); ++c) {
+        row.push_back(chunk.value(i, c));
+      }
+      rows->push_back(std::move(row));
+    }
+  }
+
+  /// Builds `tmpl`'s plan over the full position space (joins: over a hash
+  /// table built here) and pulls it to completion on this thread.
+  Status RunDirect(const plan::PlanTemplate& tmpl, plan::RunStats* stats,
+                   std::vector<std::vector<Value>>* rows) {
+    std::shared_ptr<const exec::JoinBuildTable> table;
+    if (tmpl.NeedsBuildPhase()) {
+      CSTORE_ASSIGN_OR_RETURN(
+          exec::JoinBuildTable::Spec spec,
+          plan::JoinBuildSpec(tmpl.join, tmpl.join_mode, tmpl.config));
+      exec::ExecStats build_stats;
+      CSTORE_ASSIGN_OR_RETURN(table,
+                              exec::JoinBuildTable::Build(spec, &build_stats));
+    }
+    CSTORE_ASSIGN_OR_RETURN(
+        std::unique_ptr<plan::Plan> plan,
+        tmpl.Instantiate(exec::kFullScanRange, table.get()));
+    return plan::ExecutePlan(
+        plan.get(), db_->pool(), stats,
+        [&](const exec::TupleChunk& chunk) { AppendRows(chunk, rows); });
   }
 
   TempDir dir_;
@@ -74,13 +107,18 @@ class ParallelTest : public ::testing::Test {
 TEST_F(ParallelTest, SelectionDeterministicAcrossWorkerCounts) {
   plan::SelectionQuery q = MidSelectivityQuery();
   for (Strategy s : plan::kAllStrategies) {
-    ASSERT_OK_AND_ASSIGN(db::QueryResult serial,
-                         db_->RunSelection(q, s, WorkerConfig(1)));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult serial,
+                         testing::RunTemplate(
+                             db_.get(),
+                             plan::PlanTemplate::Selection(
+                                 q, s, MorselConfig())));
     EXPECT_GT(serial.stats.output_tuples, 0u) << StrategyName(s);
     for (int workers : {2, 4}) {
       ASSERT_OK_AND_ASSIGN(
-          db::QueryResult parallel,
-          db_->RunSelection(q, s, WorkerConfig(workers)));
+          api::QueryResult parallel,
+          testing::RunTemplate(
+              db_.get(),
+              plan::PlanTemplate::Selection(q, s, MorselConfig()), workers));
       EXPECT_EQ(parallel.stats.output_tuples, serial.stats.output_tuples)
           << StrategyName(s) << " workers=" << workers;
       EXPECT_EQ(parallel.stats.checksum, serial.stats.checksum)
@@ -92,35 +130,62 @@ TEST_F(ParallelTest, SelectionDeterministicAcrossWorkerCounts) {
 }
 
 TEST_F(ParallelTest, SingleWorkerMatchesDirectSerialExecutor) {
-  plan::SelectionQuery q = MidSelectivityQuery();
+  ASSERT_OK_AND_ASSIGN(tpch::JoinColumns jc,
+                       tpch::LoadJoinTables(db_.get(), kScaleFactor));
+  std::vector<std::pair<std::string, plan::PlanTemplate>> cases;
+  const plan::SelectionQuery sel = MidSelectivityQuery();
   for (Strategy s : plan::kAllStrategies) {
-    // The pre-refactor path: build the plan and pull it directly.
-    ASSERT_OK_AND_ASSIGN(auto plan, plan::BuildSelectionPlan(q, s, {}));
-    plan::RunStats direct;
-    std::vector<std::pair<Position, Value>> direct_rows;
-    ASSERT_OK(plan::ExecutePlan(plan.get(), db_->pool(), &direct,
-                                [&](const exec::TupleChunk& chunk) {
-                                  for (size_t i = 0; i < chunk.num_tuples();
-                                       ++i) {
-                                    direct_rows.emplace_back(
-                                        chunk.position(i), chunk.value(i, 0));
-                                  }
-                                }));
+    cases.emplace_back(std::string("select ") + StrategyName(s),
+                       plan::PlanTemplate::Selection(sel, s));
+    plan::AggQuery agg;
+    agg.selection = sel;
+    agg.group_index = 0;  // GROUP BY shipdate
+    agg.agg_index = 1;    // SUM(quantity)
+    agg.func = exec::AggFunc::kSum;
+    cases.emplace_back(std::string("agg ") + StrategyName(s),
+                       plan::PlanTemplate::Agg(agg, s));
+    plan::SortQuery sort;
+    sort.selection = sel;
+    sort.sort_index = 1;  // ORDER BY quantity DESC LIMIT 1000
+    sort.desc = true;
+    sort.limit = 1000;
+    cases.emplace_back(std::string("sort ") + StrategyName(s),
+                       plan::PlanTemplate::Sort(sort, s));
+  }
+  plan::JoinQuery join;
+  join.left_key = jc.orders_custkey;
+  join.left_pred =
+      codec::Predicate::LessThan(static_cast<Value>(jc.num_customers / 2));
+  join.left_payload = jc.orders_shipdate;
+  join.right_key = jc.customer_custkey;
+  join.right_payload = jc.customer_nationcode;
+  for (exec::JoinRightMode mode : {exec::JoinRightMode::kMaterialized,
+                                   exec::JoinRightMode::kMultiColumn,
+                                   exec::JoinRightMode::kSingleColumn}) {
+    cases.emplace_back(std::string("join ") + exec::JoinRightModeName(mode),
+                       plan::PlanTemplate::Join(join, mode));
+  }
 
-    ASSERT_OK_AND_ASSIGN(db::QueryResult via_template,
-                         db_->RunSelection(q, s, WorkerConfig(1)));
-    EXPECT_EQ(via_template.stats.output_tuples, direct.output_tuples)
-        << StrategyName(s);
-    EXPECT_EQ(via_template.stats.checksum, direct.checksum)
-        << StrategyName(s);
-    // Serial path preserves exact tuple order, not just the bag.
-    ASSERT_EQ(via_template.tuples.num_tuples(), direct_rows.size())
-        << StrategyName(s);
-    for (size_t i = 0; i < direct_rows.size(); ++i) {
-      ASSERT_EQ(via_template.tuples.position(i), direct_rows[i].first)
-          << StrategyName(s) << " row " << i;
-      ASSERT_EQ(via_template.tuples.value(i, 0), direct_rows[i].second)
-          << StrategyName(s) << " row " << i;
+  sched::Scheduler one_worker({1});
+  api::Connection caller(db_.get());
+  api::Connection pooled(db_.get(), &one_worker);
+  for (const auto& [name, tmpl] : cases) {
+    plan::RunStats direct;
+    std::vector<std::vector<Value>> direct_rows;
+    ASSERT_OK(RunDirect(tmpl, &direct, &direct_rows));
+    EXPECT_GT(direct.output_tuples, 0u) << name;
+    for (api::Connection* conn : {&caller, &pooled}) {
+      const char* where = conn == &caller ? " (caller)" : " (1-worker pool)";
+      ASSERT_OK_AND_ASSIGN(api::QueryResult r, conn->Query(tmpl));
+      EXPECT_EQ(r.stats.output_tuples, direct.output_tuples) << name << where;
+      EXPECT_EQ(r.stats.checksum, direct.checksum) << name << where;
+      // One worker preserves exact tuple order, not just the bag.
+      std::vector<std::vector<Value>> rows;
+      AppendRows(r.tuples, &rows);
+      ASSERT_EQ(rows.size(), direct_rows.size()) << name << where;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(rows[i], direct_rows[i]) << name << where << " row " << i;
+      }
     }
   }
 }
@@ -132,12 +197,17 @@ TEST_F(ParallelTest, AggregationDeterministicAcrossWorkerCounts) {
   q.agg_index = 1;    // SUM(quantity)
   q.func = exec::AggFunc::kSum;
   for (Strategy s : plan::kAllStrategies) {
-    ASSERT_OK_AND_ASSIGN(db::QueryResult serial,
-                         db_->RunAgg(q, s, WorkerConfig(1)));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult serial,
+                         testing::RunTemplate(
+                             db_.get(),
+                             plan::PlanTemplate::Agg(q, s, MorselConfig())));
     EXPECT_GT(serial.stats.output_tuples, 0u) << StrategyName(s);
     for (int workers : {2, 4}) {
-      ASSERT_OK_AND_ASSIGN(db::QueryResult parallel,
-                           db_->RunAgg(q, s, WorkerConfig(workers)));
+      ASSERT_OK_AND_ASSIGN(api::QueryResult parallel,
+                           testing::RunTemplate(
+                               db_.get(),
+                               plan::PlanTemplate::Agg(
+                                   q, s, MorselConfig()), workers));
       EXPECT_EQ(parallel.stats.output_tuples, serial.stats.output_tuples)
           << StrategyName(s) << " workers=" << workers;
       EXPECT_EQ(parallel.stats.checksum, serial.stats.checksum)
@@ -162,11 +232,16 @@ TEST_F(ParallelTest, AllAggFunctionsMergeExactly) {
     q.agg_index = 1;
     q.func = func;
     ASSERT_OK_AND_ASSIGN(
-        db::QueryResult serial,
-        db_->RunAgg(q, Strategy::kLmParallel, WorkerConfig(1)));
+        api::QueryResult serial,
+        testing::RunTemplate(
+            db_.get(),
+            plan::PlanTemplate::Agg(q, Strategy::kLmParallel, MorselConfig())));
     ASSERT_OK_AND_ASSIGN(
-        db::QueryResult parallel,
-        db_->RunAgg(q, Strategy::kLmParallel, WorkerConfig(4)));
+        api::QueryResult parallel,
+        testing::RunTemplate(
+            db_.get(),
+            plan::PlanTemplate::Agg(
+                q, Strategy::kLmParallel, MorselConfig()), 4));
     EXPECT_EQ(parallel.stats.checksum, serial.stats.checksum)
         << exec::AggFuncName(func);
     EXPECT_EQ(parallel.stats.output_tuples, serial.stats.output_tuples)
@@ -180,11 +255,17 @@ TEST_F(ParallelTest, GlobalAggregationMergesAcrossWorkers) {
   q.agg_index = 1;
   q.func = exec::AggFunc::kSum;
   q.global = true;
-  ASSERT_OK_AND_ASSIGN(db::QueryResult serial,
-                       db_->RunAgg(q, Strategy::kEmParallel, WorkerConfig(1)));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult serial,
+                       testing::RunTemplate(
+                           db_.get(),
+                           plan::PlanTemplate::Agg(
+                               q, Strategy::kEmParallel, MorselConfig())));
   ASSERT_OK_AND_ASSIGN(
-      db::QueryResult parallel,
-      db_->RunAgg(q, Strategy::kEmParallel, WorkerConfig(4)));
+      api::QueryResult parallel,
+      testing::RunTemplate(
+          db_.get(),
+          plan::PlanTemplate::Agg(
+              q, Strategy::kEmParallel, MorselConfig()), 4));
   ASSERT_EQ(serial.tuples.num_tuples(), 1u);
   ASSERT_EQ(parallel.tuples.num_tuples(), 1u);
   EXPECT_EQ(parallel.tuples.value(0, 1), serial.tuples.value(0, 1));

@@ -67,7 +67,8 @@ TEST_F(RobustnessTest, CorruptBlockMagicSurfacesAsStatus) {
   q.columns.push_back({col, Predicate::True()});
   for (Strategy s : plan::kAllStrategies) {
     db_->DropCaches();
-    auto r = db_->RunSelection(q, s);
+    auto r = testing::RunTemplate(
+        db_.get(), plan::PlanTemplate::Selection(q, s));
     ASSERT_FALSE(r.ok()) << StrategyName(s);
     EXPECT_TRUE(r.status().IsCorruption())
         << StrategyName(s) << ": " << r.status().ToString();
@@ -91,6 +92,39 @@ TEST_F(RobustnessTest, TruncatedSidecarRejectedOnOpen) {
   auto r = db2->GetColumn("t");
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+}
+
+TEST_F(RobustnessTest, LeftoverSidecarTempFileIgnoredOnOpen) {
+  // A crash during a catalog rewrite leaves at most a partial
+  // `_catalog.meta.tmp`: the rename never happened, so the previous catalog
+  // is whole and the database opens on it.
+  std::vector<Value> vals = {4, 5, 6};
+  ASSERT_OK(db_->CreateColumn("cat.x", Encoding::kUncompressed, vals));
+  ASSERT_OK(db_->RegisterTable("cat", {{"x", "cat.x"}}));
+  db_.reset();
+  const std::string tmp_path = dir_.path() + "/_catalog.meta.tmp";
+  int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::write(fd, "cat\tx", 5), 5);  // torn mid-line
+  ::close(fd);
+
+  db::Database::Options opts;
+  opts.dir = dir_.path();
+  ASSERT_OK_AND_ASSIGN(auto db2, db::Database::Open(opts));
+  EXPECT_TRUE(db2->HasTable("cat"));
+  api::Connection conn(db2.get());
+  ASSERT_OK_AND_ASSIGN(api::QueryResult r,
+                       conn.Query("SELECT x FROM cat WHERE x > 4"));
+  EXPECT_EQ(r.tuples.num_tuples(), 2u);
+  // The next catalog write replaces the leftover.
+  ASSERT_OK(db2->RegisterTable("cat2", {{"x", "cat.x"}}));
+  EXPECT_NE(::access(tmp_path.c_str(), F_OK), 0);
+  ASSERT_OK_AND_ASSIGN(auto db3, [&] {
+    db2.reset();
+    return db::Database::Open(opts);
+  }());
+  EXPECT_TRUE(db3->HasTable("cat"));
+  EXPECT_TRUE(db3->HasTable("cat2"));
 }
 
 TEST_F(RobustnessTest, BlockCountMismatchDetected) {
@@ -121,7 +155,8 @@ TEST_F(RobustnessTest, TinyBufferPoolFailsCleanly) {
 
   plan::SelectionQuery q;
   q.columns.push_back({col, Predicate::True()});
-  auto r = tiny->RunSelection(q, Strategy::kLmParallel);
+  auto r = testing::RunTemplate(
+      tiny.get(), plan::PlanTemplate::Selection(q, Strategy::kLmParallel));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal)
       << r.status().ToString();
@@ -139,7 +174,8 @@ TEST_F(RobustnessTest, ZeroMatchEveryEncodingEveryStrategy) {
     plan::SelectionQuery q;
     q.columns.push_back({col, Predicate::GreaterThan(1000)});
     for (Strategy s : plan::kAllStrategies) {
-      auto r = db_->RunSelection(q, s);
+      auto r = testing::RunTemplate(
+          db_.get(), plan::PlanTemplate::Selection(q, s));
       ASSERT_TRUE(r.ok()) << StrategyName(s);
       EXPECT_EQ(r->stats.output_tuples, 0u)
           << codec::EncodingName(enc) << " " << StrategyName(s);
@@ -213,7 +249,8 @@ TEST_F(RobustnessTest, RandomizedQueriesAgreeWithNaive) {
     uint64_t checksum = 0;
     bool first = true;
     for (Strategy s : plan::kAllStrategies) {
-      auto r = db_->RunSelection(q, s);
+      auto r = testing::RunTemplate(
+          db_.get(), plan::PlanTemplate::Selection(q, s));
       if (!r.ok()) {
         EXPECT_TRUE(r.status().IsNotSupported())
             << "round " << round << " " << StrategyName(s) << ": "

@@ -19,7 +19,7 @@
 #include "exec/morsel_source.h"
 #include "plan/parallel.h"
 #include "sched/scheduler.h"
-#include "sql/engine.h"
+#include "api/connection.h"
 #include "test_util.h"
 #include "tpch/loader.h"
 
@@ -103,13 +103,18 @@ class SchedTest : public ::testing::Test {
     return templates;
   }
 
-  /// Serial (workers=1) ground truth for a template.
-  static plan::RunStats SerialRun(plan::PlanTemplate tmpl) {
-    tmpl.config.num_workers = 1;
-    plan::RunStats stats;
-    Status st = plan::ExecuteParallel(tmpl, db_->pool(), &stats);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-    return stats;
+  /// Single-worker ground truth for a template, run on this thread.
+  static plan::RunStats SerialRun(const plan::PlanTemplate& tmpl) {
+    sched::ExecResult r =
+        sched::Scheduler::RunOnCaller(tmpl, db_->pool(), {}).Wait();
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    return r.stats;
+  }
+
+  static sched::Scheduler::SubmitOptions WithPriority(int priority) {
+    sched::Scheduler::SubmitOptions options;
+    options.priority = priority;
+    return options;
   }
 
   static TempDir* dir_;
@@ -135,13 +140,14 @@ TEST_F(SchedTest, ConcurrentMixedQueriesMatchSerialRuns) {
   sched::Scheduler::Options opts;
   opts.num_workers = 4;
   sched::Scheduler scheduler(opts);
-  std::vector<db::PendingQuery> pending;
+  api::Connection pooled(db_, &scheduler);
+  std::vector<api::PendingResult> pending;
   pending.reserve(templates.size());
   for (const plan::PlanTemplate& tmpl : templates) {
-    pending.push_back(db_->Submit(tmpl, &scheduler));
+    pending.push_back(pooled.Submit(tmpl));
   }
   for (size_t i = 0; i < pending.size(); ++i) {
-    ASSERT_OK_AND_ASSIGN(db::QueryResult result, pending[i].Wait());
+    ASSERT_OK_AND_ASSIGN(api::QueryResult result, pending[i].Wait());
     EXPECT_EQ(result.stats.checksum, serial[i].checksum) << "query " << i;
     EXPECT_EQ(result.stats.output_tuples, serial[i].output_tuples)
         << "query " << i;
@@ -165,7 +171,7 @@ TEST_F(SchedTest, TicketsCompleteUnderQueuePressure) {
   const int kRounds = 3;
   for (int round = 0; round < kRounds; ++round) {
     for (const plan::PlanTemplate& tmpl : templates) {
-      tickets.push_back(scheduler.Submit(tmpl, db_->pool()));
+      tickets.push_back(scheduler.Submit(tmpl, db_->pool(), {}));
     }
   }
   for (size_t i = 0; i < tickets.size(); ++i) {
@@ -188,7 +194,7 @@ TEST_F(SchedTest, ExecStatsNotCrossContaminated) {
   {
     sched::Scheduler scheduler(opts);
     const sched::ExecResult& r =
-        scheduler.Submit(templates[0], db_->pool()).Wait();
+        scheduler.Submit(templates[0], db_->pool(), {}).Wait();
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     solo = r.stats.exec;
   }
@@ -197,7 +203,7 @@ TEST_F(SchedTest, ExecStatsNotCrossContaminated) {
   sched::Scheduler scheduler(opts);
   std::vector<sched::QueryTicket> tickets;
   for (const plan::PlanTemplate& tmpl : templates) {
-    tickets.push_back(scheduler.Submit(tmpl, db_->pool()));
+    tickets.push_back(scheduler.Submit(tmpl, db_->pool(), {}));
   }
   const sched::ExecResult& r = tickets[0].Wait();
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
@@ -226,7 +232,7 @@ TEST_F(SchedTest, IoStatsAttributedPerQueryNotPerPool) {
   {
     sched::Scheduler scheduler(opts);
     const sched::ExecResult& r =
-        scheduler.Submit(templates[0], db_->pool()).Wait();
+        scheduler.Submit(templates[0], db_->pool(), {}).Wait();
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     solo_requests = r.stats.io.cache_hits + r.stats.io.physical_reads;
   }
@@ -235,7 +241,7 @@ TEST_F(SchedTest, IoStatsAttributedPerQueryNotPerPool) {
   sched::Scheduler scheduler(opts);
   std::vector<sched::QueryTicket> tickets;
   for (const plan::PlanTemplate& tmpl : templates) {
-    tickets.push_back(scheduler.Submit(tmpl, db_->pool()));
+    tickets.push_back(scheduler.Submit(tmpl, db_->pool(), {}));
   }
   const sched::ExecResult& r = tickets[0].Wait();
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
@@ -264,8 +270,8 @@ TEST_F(SchedTest, PriorityQueriesCompleteAndStayCorrect) {
   std::vector<sched::QueryTicket> tickets;
   for (size_t i = 0; i < templates.size(); ++i) {
     // Alternate priorities 1..3: correctness must be priority-independent.
-    tickets.push_back(scheduler.Submit(templates[i], db_->pool(), nullptr,
-                                       1 + static_cast<int>(i % 3)));
+    tickets.push_back(scheduler.Submit(
+        templates[i], db_->pool(), WithPriority(1 + static_cast<int>(i % 3))));
   }
   for (size_t i = 0; i < tickets.size(); ++i) {
     const sched::ExecResult& r = tickets[i].Wait();
@@ -289,8 +295,8 @@ TEST_F(SchedTest, InstantiationErrorSurfacesOnTicketOnly) {
   sched::Scheduler::Options opts;
   opts.num_workers = 4;
   sched::Scheduler scheduler(opts);
-  sched::QueryTicket bad_ticket = scheduler.Submit(bad_tmpl, db_->pool());
-  sched::QueryTicket good_ticket = scheduler.Submit(good_tmpl, db_->pool());
+  sched::QueryTicket bad_ticket = scheduler.Submit(bad_tmpl, db_->pool(), {});
+  sched::QueryTicket good_ticket = scheduler.Submit(good_tmpl, db_->pool(), {});
   EXPECT_FALSE(bad_ticket.Wait().status.ok());
   const sched::ExecResult& good = good_ticket.Wait();
   ASSERT_TRUE(good.status.ok()) << good.status.ToString();
@@ -314,8 +320,8 @@ TEST_F(SchedTest, JoinBuildBarrierGatesProbeMorsels) {
   sched::Scheduler scheduler(opts);
   std::vector<sched::QueryTicket> tickets;
   for (int i = 0; i < 3; ++i) {
-    tickets.push_back(scheduler.Submit(join_tmpl, db_->pool()));
-    tickets.push_back(scheduler.Submit(scan_tmpl, db_->pool()));
+    tickets.push_back(scheduler.Submit(join_tmpl, db_->pool(), {}));
+    tickets.push_back(scheduler.Submit(scan_tmpl, db_->pool(), {}));
   }
   for (size_t i = 0; i < tickets.size(); ++i) {
     const sched::ExecResult r = tickets[i].Wait();
@@ -344,8 +350,8 @@ TEST_F(SchedTest, JoinBuildFailureSurfacesOnTicket) {
   sched::Scheduler::Options opts;
   opts.num_workers = 4;
   sched::Scheduler scheduler(opts);
-  sched::QueryTicket bad_ticket = scheduler.Submit(bad_tmpl, db_->pool());
-  sched::QueryTicket good_ticket = scheduler.Submit(good_tmpl, db_->pool());
+  sched::QueryTicket bad_ticket = scheduler.Submit(bad_tmpl, db_->pool(), {});
+  sched::QueryTicket good_ticket = scheduler.Submit(good_tmpl, db_->pool(), {});
   EXPECT_FALSE(bad_ticket.Wait().status.ok());
   const sched::ExecResult good = good_ticket.Wait();
   ASSERT_TRUE(good.status.ok()) << good.status.ToString();
@@ -360,7 +366,7 @@ TEST_F(SchedTest, SchedulerDestructorDrainsUnwaitedTickets) {
     sched::Scheduler::Options opts;
     opts.num_workers = 2;
     sched::Scheduler scheduler(opts);
-    abandoned = scheduler.Submit(tmpl, db_->pool());
+    abandoned = scheduler.Submit(tmpl, db_->pool(), {});
     // Destructor runs with the query possibly still in flight.
   }
   const sched::ExecResult& r = abandoned.Wait();
@@ -368,8 +374,8 @@ TEST_F(SchedTest, SchedulerDestructorDrainsUnwaitedTickets) {
   EXPECT_EQ(r.stats.checksum, checksum);
 }
 
-TEST_F(SchedTest, EngineSubmitAllMatchesSynchronousExecute) {
-  sql::Engine engine(db_);
+TEST_F(SchedTest, PooledSubmitMatchesCallerRunQuery) {
+  api::Connection conn(db_);
   const std::vector<std::string> sqls = {
       "SELECT shipdate, quantity FROM lineitem WHERE quantity < 30",
       "SELECT shipdate, SUM(quantity) FROM lineitem WHERE quantity < 40 "
@@ -377,19 +383,21 @@ TEST_F(SchedTest, EngineSubmitAllMatchesSynchronousExecute) {
       "SELECT SUM(quantity) FROM lineitem WHERE linenum < 4",
       "SELECT bogus FROM nowhere",  // binds must fail, ticket must drain
   };
-  std::vector<Result<sql::SqlResult>> serial;
+  std::vector<Result<api::QueryResult>> serial;
   for (const std::string& sql : sqls) {
-    serial.push_back(engine.Execute(sql));
+    serial.push_back(conn.Query(sql));
   }
 
   sched::Scheduler::Options opts;
   opts.num_workers = 4;
   sched::Scheduler scheduler(opts);
-  std::vector<sql::Engine::Pending> pending =
-      engine.SubmitAll(sqls, &scheduler);
+  api::Connection pooled(db_, &scheduler);
+  pooled.ShareCostCache(conn);
+  std::vector<api::PendingResult> pending;
+  for (const std::string& sql : sqls) pending.push_back(pooled.Submit(sql));
   ASSERT_EQ(pending.size(), sqls.size());
   for (size_t i = 0; i < pending.size(); ++i) {
-    Result<sql::SqlResult> batch = pending[i].Wait();
+    Result<api::QueryResult> batch = pending[i].Wait();
     ASSERT_EQ(batch.ok(), serial[i].ok()) << sqls[i];
     if (!batch.ok()) continue;
     EXPECT_EQ(batch->stats.checksum, serial[i]->stats.checksum) << sqls[i];
@@ -424,8 +432,9 @@ TEST_F(SchedTest, DispatchPoliciesBitIdenticalToRoundRobin) {
     EXPECT_EQ(scheduler.dispatch_policy(), policy);
     std::vector<sched::QueryTicket> tickets;
     for (size_t i = 0; i < templates.size(); ++i) {
-      tickets.push_back(scheduler.Submit(templates[i], db_->pool(), nullptr,
-                                         /*priority=*/1 + (i % 3)));
+      tickets.push_back(
+          scheduler.Submit(templates[i], db_->pool(),
+                           WithPriority(1 + static_cast<int>(i % 3))));
     }
     for (size_t i = 0; i < tickets.size(); ++i) {
       const sched::ExecResult r = tickets[i].Wait();
@@ -453,11 +462,11 @@ TEST_F(SchedTest, DispatchPolicySwitchesSafelyMidBatch) {
   sched::Scheduler scheduler(opts);
   std::vector<sched::QueryTicket> tickets;
   for (const plan::PlanTemplate& tmpl : templates) {
-    tickets.push_back(scheduler.Submit(tmpl, db_->pool()));
+    tickets.push_back(scheduler.Submit(tmpl, db_->pool(), {}));
   }
   scheduler.set_dispatch_policy(sched::DispatchPolicy::kShortestRemaining);
   for (const plan::PlanTemplate& tmpl : templates) {
-    tickets.push_back(scheduler.Submit(tmpl, db_->pool()));
+    tickets.push_back(scheduler.Submit(tmpl, db_->pool(), {}));
   }
   scheduler.set_dispatch_policy(sched::DispatchPolicy::kFifoPriority);
   for (size_t i = 0; i < tickets.size(); ++i) {

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "api/connection.h"
 #include "codec/predicate.h"
+#include "db/database.h"
+#include "sched/scheduler.h"
 #include "util/common.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -95,6 +98,16 @@ inline std::vector<Position> NaiveMatches(const std::vector<Value>& values,
     if (pred.Eval(values[i])) out.push_back(i);
   }
   return out;
+}
+
+/// Runs `tmpl` on `workers` workers — the calling thread for 1, a fresh
+/// pool of that width otherwise — the way worker-count sweeps compare runs.
+inline Result<api::QueryResult> RunTemplate(db::Database* db,
+                                            const plan::PlanTemplate& tmpl,
+                                            int workers = 1) {
+  if (workers <= 1) return api::Connection(db).Query(tmpl);
+  sched::Scheduler scheduler({workers});
+  return api::Connection(db, &scheduler).Query(tmpl);
 }
 
 }  // namespace testing
